@@ -12,6 +12,7 @@ import os
 import threading
 from dataclasses import dataclass
 from datetime import datetime, timezone
+from itertools import repeat
 from pathlib import Path
 from typing import IO, Optional, Union
 
@@ -106,17 +107,31 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     binary: one 0/1 string of length dim per line, most significant first.
     """
     if fmt == "decimal":
-        return f"n={seq.dim}\n" + " ".join(str(w.bits) for w in seq.words) + "\n"
+        return f"n={seq.dim}\n" + " ".join(map(str, seq.decimals)) + "\n"
     if fmt == "binary":
-        return f"n={seq.dim}\n" + "\n".join(w.to_string() for w in seq.words) + "\n"
+        return f"n={seq.dim}\n" + "\n".join(map(format, seq.decimals, repeat(f"0{seq.dim}b"))) + "\n"
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _is_ascii_digits(text: str) -> bool:
+    """str.isdigit() also accepts digits like '³' that int() then rejects."""
+    return text.isascii() and text.isdigit()
+
+
+def _only(text: str, allowed: bytes) -> bool:
+    """Whether text consists of the given ASCII characters alone."""
+    return text.isascii() and not text.encode().translate(None, allowed)
+
+
+def _is_binary_word(text: str, dim: int) -> bool:
+    return len(text) == dim and set(text) <= {"0", "1"}
 
 
 def _parse_header(lines: list[str]) -> int:
     if not lines:
         raise ParseError(1, "empty file; expected header n=<dim>")
     header = lines[0].strip()
-    if not header.startswith("n=") or not header[2:].isdigit():
+    if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
         raise ParseError(1, f"malformed header {header!r}; expected n=<dim>")
     dim = int(header[2:])
     if dim < 2:
@@ -141,14 +156,58 @@ def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySe
     as decimal.  Structural problems raise ParseError; being non-ternary
     is not structural and is left to verify().
     """
+    return _parse_bulk(text, fmt) or _parse_lines(text, fmt)
+
+
+def _parse_bulk(text: str, fmt: Optional[str]) -> Optional[tuple[TernarySequence, str]]:
+    """Whole-body parse of a well-formed file; None when the file needs the line scan.
+
+    The body must hold only the format's own characters (digits, spaces
+    and newlines, or 0, 1 and newlines), the right number of tokens, and
+    values in range.  Anything else returns None, leaving _parse_lines to
+    parse it or to report the offending line.  When this returns a
+    result, _parse_lines would return the same one.
+    """
+    if fmt is not None and fmt not in FORMATS:
+        return None
+    header, _, body = text.partition("\n")
+    if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
+        return None
+    dim = int(header[2:])
+    if not 2 <= dim <= MAX_DIM:
+        return None
+    expected = (1 << dim) - 1
+    tokens = body.split()
+    if len(tokens) != expected:
+        return None
+    # A body of 0/1 lines starts with tokens[0]; one that does not read
+    # as binary there has no binary-looking first line either.
+    binary = fmt == "binary" or (fmt is None and _is_binary_word(tokens[0], dim))
+    if binary:
+        if set(map(len, tokens)) != {dim} or not _only(body, b"01\n"):
+            return None
+        values = list(map(int, tokens, repeat(2)))
+    else:
+        if not _only(body, b"0123456789 \n"):
+            return None
+        try:
+            values = list(map(int, tokens))
+        except ValueError:  # digit strings past int()'s length limit
+            return None
+    if min(values) < 1 or max(values) > expected:
+        return None
+    return TernarySequence.from_decimals(dim, values), "binary" if binary else "decimal"
+
+
+def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
+    """Line-by-line parse of any input; raises ParseError at the first bad line."""
     lines = text.splitlines()
     dim = _parse_header(lines)
     expected = (1 << dim) - 1
     body = [(no, line.strip()) for no, line in enumerate(lines[1:], start=2) if line.strip()]
     if fmt is None:
         first = body[0][1] if body else ""
-        is_binary = len(first) == dim and set(first) <= {"0", "1"}
-        fmt = "binary" if is_binary else "decimal"
+        fmt = "binary" if _is_binary_word(first, dim) else "decimal"
     elif fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
@@ -156,7 +215,7 @@ def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySe
     last_line = len(lines)  # header parsing guarantees at least one line
     if fmt == "binary":
         for no, line in body:
-            if len(line) != dim or not set(line) <= {"0", "1"}:
+            if not _is_binary_word(line, dim):
                 raise ParseError(no, f"expected one {dim}-character 0/1 string per line, got {line!r}")
             if len(values) == expected:
                 raise ParseError(no, f"expected {expected} values, got more")
@@ -166,7 +225,7 @@ def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySe
     else:
         for no, line in body:
             for token in line.split():
-                if not token.isdigit():
+                if not _is_ascii_digits(token):
                     raise ParseError(no, f"{token!r} is not a decimal value")
                 if len(values) == expected:
                     raise ParseError(no, f"expected {expected} values, got more")

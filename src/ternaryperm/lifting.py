@@ -2,18 +2,21 @@
 
 Each source word reappears four times in the output, tagged with one of
 four periodic two-bit suffixes; three fixed splice words stitch the four
-blocks together.  The exact placement is materialized as an explicit
-layout table so its index arithmetic can be tested on its own.
+blocks together.  lift() builds the blocks with slice arithmetic on the
+decimal values; lift_layout() spells out the same placement one row per
+output position, so tests can check the arithmetic against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from itertools import cycle
+from operator import or_
 from typing import Optional
 
 from .sequences import TernarySequence, verify
-from .words import Word, concat, zero
+from .words import Word
 
 
 class ModifierKind(Enum):
@@ -30,6 +33,16 @@ SPLICE_SECOND = Word(0b11, 2)
 SPLICE_THIRD = Word(0b01, 2)
 
 
+#: The two-bit tag each family gives a source word at 1-based index i,
+#: looked up as TAGS[kind][i & 3]; the period is 4.
+TAGS = {
+    ModifierKind.A: (0b01, 0b00, 0b01, 0b01),
+    ModifierKind.B: (0b00, 0b10, 0b00, 0b10),
+    ModifierKind.C: (0b11, 0b11, 0b11, 0b00),
+    ModifierKind.D: (0b10, 0b01, 0b10, 0b11),
+}
+
+
 def modifier(kind: ModifierKind, i: int) -> Word:
     """The two-bit tag a source word carries at index i, periodic with period 4.
 
@@ -41,16 +54,7 @@ def modifier(kind: ModifierKind, i: int) -> Word:
     """
     if i < 1:
         raise ValueError(f"modifier index must be positive, got {i}")
-    r = i % 4
-    if kind is ModifierKind.A:
-        bits = 0b00 if r == 1 else 0b01
-    elif kind is ModifierKind.B:
-        bits = 0b10 if i % 2 == 1 else 0b00
-    elif kind is ModifierKind.C:
-        bits = 0b00 if r == 3 else 0b11
-    else:
-        bits = {1: 0b01, 3: 0b11}.get(r, 0b10)
-    return Word(bits, 2)
+    return Word(TAGS[kind][i & 3], 2)
 
 
 @dataclass(frozen=True)
@@ -134,13 +138,13 @@ def check_modifier_properties(k: int) -> bool:
     """
     if k < 3:
         raise ValueError(f"property check needs k >= 3, got {k}")
-    kinds = tuple(ModifierKind)
+    rows = tuple(TAGS.values())
     for i in range(1, k + 1):
-        if len({modifier(kd, i).bits for kd in kinds}) != 4:
+        if len({row[i & 3] for row in rows}) != 4:
             return False
     for i in range(2, k, 2):
-        for kd in kinds:
-            if modifier(kd, i - 1).bits ^ modifier(kd, i).bits ^ modifier(kd, i + 1).bits:
+        for row in rows:
+            if row[(i - 1) & 3] ^ row[i & 3] ^ row[(i + 1) & 3]:
                 return False
     return True
 
@@ -149,24 +153,32 @@ def lift(seq: TernarySequence) -> TernarySequence:
     """Turn a verified ternary permutation of dimension n into one of n + 2.
 
     Every output word is a source word (or the zero word, for splices)
-    with a two-bit suffix appended, placed per lift_layout.  The output is
-    re-verified before it is returned.
+    with a two-bit suffix appended, placed as lift_layout lays out: each
+    tag family tags the whole source once, and the four blocks are
+    slices of those tagged copies.  The output is re-verified before it
+    is returned.
     """
     if seq.dim < 3:
         raise ValueError(f"lifting needs dimension >= 3, got {seq.dim}")
     report = verify(seq)
     if not report.valid:
         raise ValueError(f"input is not a ternary permutation: {report.failure}")
-    k = (1 << seq.dim) - 1
-    z = zero(seq.dim)
-    out: list[Word] = []
-    for entry in lift_layout(k):
-        if entry.splice is not None:
-            out.append(concat(z, entry.splice))
-        else:
-            out.append(concat(seq.words[entry.v_index - 1], modifier(entry.kind, entry.v_index)))
-    result = TernarySequence(seq.dim + 2, tuple(out))
+    k = len(seq.decimals)
+    shifted = [v << 2 for v in seq.decimals]
+    # a, b, c, d[j] is source index j + 1 tagged with that family; the
+    # tag cycle starts at index 1.
+    a, b, c, d = (
+        list(map(or_, shifted, cycle(row[1:] + row[:1]))) for row in TAGS.values()
+    )
+    out = a[::-1]
+    out.append(SPLICE_FIRST.bits)
+    out += b[: k - 2]
+    out += (b[k - 1], b[k - 2], SPLICE_SECOND.bits, c[k - 2], c[k - 1])
+    out += c[k - 3 : 1 : -1]
+    out += (c[0], c[1], SPLICE_THIRD.bits, d[1], d[0])
+    out += d[2:]
+    result = TernarySequence.from_decimals(seq.dim + 2, out)
     report = verify(result)
-    if not report.valid:  # layout or modifier regression; cannot happen otherwise
+    if not report.valid:  # block arithmetic regression; cannot happen otherwise
         raise RuntimeError(f"lifted sequence failed verification: {report.failure}")
     return result

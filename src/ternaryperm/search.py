@@ -9,7 +9,6 @@ search branches only there and fills each forced follower immediately.
 from __future__ import annotations
 
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
@@ -289,6 +288,9 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     _, used = applied
     candidates = [c for c in range(1, size + 1) if not (used >> c) & 1]
     tasks = [(config.dim, config.mode.value, base + (c,)) for c in candidates]
+    # imported here: it pulls in multiprocessing, which no other command needs
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         results = list(pool.map(_subtree_task, tasks))
     count = sum(c for c, _ in results)

@@ -7,10 +7,12 @@ zero.  Positions are 1-based in reports and messages, 0-based in storage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
+from itertools import compress, count
+from operator import xor
 from typing import Iterable, Iterator, Optional
 
-from .words import Word
+from .words import MAX_DIM, Word
 
 #: Failure kinds, in the order verify() checks them.
 FAILURE_KINDS = ("length", "zero-word", "duplicate", "triple-sum")
@@ -38,38 +40,80 @@ class VerificationReport:
             raise ValueError("a report is valid exactly when it carries no failure")
 
 
-@dataclass(frozen=True)
 class TernarySequence:
     """An ordered run of words claimed to be a ternary permutation.
 
     Holding a TernarySequence certifies nothing; run verify() for that.
     Construction only pins the coherent bits: dimension at least 2 and
-    every word of that dimension.
+    every word of that dimension.  The words are stored as their decimal
+    values; .words builds the Word objects on first read.  Instances are
+    immutable, and compare and hash by (dim, decimals).
     """
 
+    __slots__ = ("dim", "decimals", "_words")
     dim: int
-    words: tuple[Word, ...]
+    decimals: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        if self.dim < 2:
-            raise ValueError(f"sequences are defined for dimension >= 2, got {self.dim}")
-        object.__setattr__(self, "words", tuple(self.words))
-        for pos, w in enumerate(self.words, start=1):
-            if w.dim != self.dim:
-                raise ValueError(
-                    f"word at position {pos} has dimension {w.dim}, expected {self.dim}"
-                )
+    def __init__(self, dim: int, words: Iterable[Word]):
+        words = tuple(words)
+        self._set(dim, tuple(w.bits for w in words), words)
+        for pos, w in enumerate(words, start=1):
+            if w.dim != dim:
+                raise ValueError(f"word at position {pos} has dimension {w.dim}, expected {dim}")
+
+    def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
+        if dim < 2:
+            raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "decimals", decimals)
+        object.__setattr__(self, "_words", words)
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
-        return cls(dim, tuple(Word(v, dim) for v in values))
+        values = tuple(values)
+        if values:
+            if not 1 <= dim <= MAX_DIM:
+                raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+            for bad in (min(values), max(values)):
+                if not 0 <= bad < (1 << dim):
+                    raise ValueError(f"bits {bad} out of range for dimension {dim}")
+        return cls._trusted(dim, values)
+
+    @classmethod
+    def _trusted(cls, dim: int, decimals: tuple[int, ...]) -> "TernarySequence":
+        """An instance over values already known to fit the dimension."""
+        seq = cls.__new__(cls)
+        seq._set(dim, decimals, None)
+        return seq
 
     @property
-    def decimals(self) -> tuple[int, ...]:
-        return tuple(w.bits for w in self.words)
+    def words(self) -> tuple[Word, ...]:
+        if self._words is None:
+            object.__setattr__(self, "_words", tuple(Word(v, self.dim) for v in self.decimals))
+        return self._words
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return self._trusted, (self.dim, self.decimals)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.dim == other.dim and self.decimals == other.decimals
+
+    def __hash__(self) -> int:
+        return hash((self.dim, self.decimals))
+
+    def __repr__(self) -> str:
+        return f"TernarySequence(dim={self.dim}, decimals={self.decimals!r})"
 
     def __len__(self) -> int:
-        return len(self.words)
+        return len(self.decimals)
 
     def __iter__(self) -> Iterator[Word]:
         return iter(self.words)
@@ -83,8 +127,9 @@ def verify(seq: TernarySequence) -> VerificationReport:
     pass means the words are a permutation of the nonzero vectors with
     every even-position triple summing to zero.
     """
+    vals = seq.decimals
     expected = (1 << seq.dim) - 1
-    actual = len(seq.words)
+    actual = len(vals)
     if actual != expected:
         return VerificationReport(
             False,
@@ -94,33 +139,41 @@ def verify(seq: TernarySequence) -> VerificationReport:
                 f"expected {expected} words for n={seq.dim}, got {actual}",
             ),
         )
-    seen: dict[int, int] = {}
-    for pos, w in enumerate(seq.words, start=1):
-        if w.is_zero:
-            return VerificationReport(
-                False,
-                VerificationFailure("zero-word", pos, f"word at position {pos} is zero"),
-            )
-        if w.bits in seen:
-            return VerificationReport(
-                False,
-                VerificationFailure(
-                    "duplicate",
-                    pos,
-                    f"word {w.bits} at position {pos} already appeared at position {seen[w.bits]}",
-                ),
-            )
-        seen[w.bits] = pos
-    # expected is odd, so this covers the even indices 2 .. expected - 1
-    for i in range(2, expected, 2):
-        x = seq.words[i - 2].bits ^ seq.words[i - 1].bits ^ seq.words[i].bits
-        if x:
-            return VerificationReport(
-                False,
-                VerificationFailure(
-                    "triple-sum",
-                    i,
-                    f"v{i - 1} XOR v{i} XOR v{i + 1} = {x}, expected 0",
-                ),
-            )
+    # Values are in [0, expected] by construction, so no zero plus
+    # expected distinct values already means a permutation; the scan
+    # below only runs to locate the first violation.
+    if 0 in vals or len(set(vals)) != expected:
+        seen: dict[int, int] = {}
+        for pos, v in enumerate(vals, start=1):
+            if v == 0:
+                return VerificationReport(
+                    False,
+                    VerificationFailure("zero-word", pos, f"word at position {pos} is zero"),
+                )
+            if v in seen:
+                return VerificationReport(
+                    False,
+                    VerificationFailure(
+                        "duplicate",
+                        pos,
+                        f"word {v} at position {pos} already appeared at position {seen[v]}",
+                    ),
+                )
+            seen[v] = pos
+    # Sum j (0-based) is vals[2j] ^ vals[2j + 1] ^ vals[2j + 2], centred on
+    # the 1-based even index 2j + 2; expected is odd, so the slices cover
+    # every even index 2 .. expected - 1.
+    odd = vals[0::2]
+    sums = list(map(xor, map(xor, odd, vals[1::2]), odd[1:]))
+    j = next(compress(count(), sums), None)  # index of the first nonzero sum
+    if j is not None:
+        i = 2 * j + 2
+        return VerificationReport(
+            False,
+            VerificationFailure(
+                "triple-sum",
+                i,
+                f"v{i - 1} XOR v{i} XOR v{i + 1} = {sums[j]}, expected 0",
+            ),
+        )
     return VerificationReport(True)

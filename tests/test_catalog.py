@@ -1,7 +1,10 @@
 import io
+import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from ternaryperm import catalog
 from ternaryperm.catalog import (
     BASE_DIMS,
     BaseCaseStore,
@@ -176,6 +179,12 @@ class TestParseErrors:
     def test_non_decimal_token(self):
         self.assert_parse_error("n=2\n1 two 3\n", "not a decimal value", line=2)
 
+    def test_non_ascii_digit_token(self):
+        self.assert_parse_error("n=2\n1 2 \u00b3\n", "not a decimal value", line=2)
+
+    def test_non_ascii_digit_header(self):
+        self.assert_parse_error("n=\u00b2\n1 2 3\n", "malformed header", line=1)
+
     def test_malformed_header(self):
         self.assert_parse_error("m=5\n1 2 3\n", "malformed header", line=1)
 
@@ -193,6 +202,91 @@ class TestParseErrors:
 
     def test_truncated_binary(self):
         self.assert_parse_error("n=2\n01\n10\n", "expected 3 values, got 2")
+
+
+def outcome(parse, text, fmt):
+    """What a parser does with text: its result, or the error it raises."""
+    try:
+        return parse(text, fmt)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc), getattr(exc, "line", None)
+
+
+def well_formed(dim, fmt, seed):
+    values = list(range(1, 1 << dim))
+    random.Random(seed).shuffle(values)
+    return format_sequence(TernarySequence.from_decimals(dim, values), fmt)
+
+
+#: Pieces spliced into a well-formed file: digits, whitespace, and characters
+#: that int() accepts in places where the file format does not.
+MUTATIONS = ("0", "1", "7", " ", "\n", "\r\n", "\t", "x", "-", "+", "_", "b", "\u00b3", "\u0661", "")
+
+FORMAT_ARGS = st.sampled_from((None, "decimal", "binary"))
+
+
+class TestBulkParse:
+    @pytest.mark.parametrize("n", (2, 5, 8))
+    @pytest.mark.parametrize("fmt", ("decimal", "binary"))
+    def test_takes_the_bulk_path_on_written_files(self, n, fmt):
+        text = format_sequence(generate(n), fmt)
+        assert catalog._parse_bulk(text, None) == (generate(n), fmt)
+        assert catalog._parse_bulk(text, fmt) == (generate(n), fmt)
+
+    @pytest.mark.parametrize(
+        "text",
+        (
+            "n=2\n+1 2 3\n",
+            "n=2\n1 2 0_3\n",
+            "n=2\n1 2 \u0663\n",
+            "n=2\n1 2\t3\n",
+            "n=3\n0b1\n010\n011\n100\n101\n110\n111\n",
+            "n=3\n001\n0_1\n011\n100\n101\n110\n111\n",
+            "n=3\n001 010\n011\n100\n101\n110\n111\n",
+            "n=3\n0001\n010\n011\n100\n101\n110\n111\n",
+            "n=3\n01\n010\n011\n100\n101\n110\n111\n",
+            "n=2\n01\n10\n11\n",
+        ),
+    )
+    def test_agrees_with_line_scan_on_tricky_tokens(self, text):
+        for fmt in (None, "decimal", "binary"):
+            bulk = catalog._parse_bulk(text, fmt)
+            assert bulk is None or bulk == catalog._parse_lines(text, fmt)
+
+    @given(
+        dim=st.integers(min_value=2, max_value=6),
+        fmt=st.sampled_from(("decimal", "binary")),
+        seed=st.integers(min_value=0, max_value=2**32),
+        parse_fmt=FORMAT_ARGS,
+    )
+    def test_agrees_with_line_scan_on_well_formed_files(self, dim, fmt, seed, parse_fmt):
+        text = well_formed(dim, fmt, seed)
+        bulk = catalog._parse_bulk(text, parse_fmt)
+        assert bulk is not None or parse_fmt not in (None, fmt)
+        if bulk is not None:
+            assert bulk == catalog._parse_lines(text, parse_fmt)
+            assert format_sequence(bulk[0], bulk[1]) == text
+
+    @given(
+        dim=st.integers(min_value=2, max_value=5),
+        fmt=st.sampled_from(("decimal", "binary")),
+        seed=st.integers(min_value=0, max_value=2**32),
+        parse_fmt=FORMAT_ARGS,
+        edits=st.lists(
+            st.tuples(st.floats(min_value=0, max_value=1, exclude_max=True), st.sampled_from(MUTATIONS), st.booleans()),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_agrees_with_line_scan_on_corrupted_files(self, dim, fmt, seed, parse_fmt, edits):
+        text = well_formed(dim, fmt, seed)
+        for where, piece, replace in edits:
+            at = int(where * len(text))
+            text = text[:at] + piece + text[at + replace :]
+        bulk = catalog._parse_bulk(text, parse_fmt)
+        lines = outcome(catalog._parse_lines, text, parse_fmt)
+        assert bulk is None or bulk == lines
+        assert outcome(parse_sequence_text, text, parse_fmt) == lines
 
 
 class TestBaseCaseStore:

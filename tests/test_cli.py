@@ -81,6 +81,19 @@ class TestVerify:
         assert code == EXIT_PARSE_ERROR
         assert "line" in err
 
+    @pytest.mark.parametrize(
+        "text,line",
+        [("n=2\n1 2 \u00b3\n", 2), ("n=\u00b2\n1 2 3\n", 1)],
+        ids=["superscript-value", "superscript-header"],
+    )
+    def test_non_ascii_digits_are_a_parse_error(self, capsys, tmp_path, text, line):
+        path = tmp_path / "digits.txt"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert f"line {line}:" in err
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
         assert code == EXIT_FAILURE

@@ -2,10 +2,12 @@ from collections import Counter
 
 import pytest
 
+from ternaryperm.catalog import generate
 from ternaryperm.lifting import (
     SPLICE_FIRST,
     SPLICE_SECOND,
     SPLICE_THIRD,
+    TAGS,
     LiftLayoutEntry,
     ModifierKind,
     check_modifier_properties,
@@ -51,6 +53,11 @@ class TestModifier:
     def test_rejects_nonpositive_index(self):
         with pytest.raises(ValueError):
             modifier(A, 0)
+
+    def test_reads_the_tag_table(self):
+        for kind in ModifierKind:
+            for i in range(1, 9):
+                assert modifier(kind, i).bits == TAGS[kind][i % 4]
 
     def test_period_is_4(self):
         for kind in ModifierKind:
@@ -212,3 +219,21 @@ class TestLift:
             assert sources[0] ^ sources[1] ^ sources[2] == zero(5)
             tags = [modifier(e.kind, e.v_index) for e in window]
             assert tags[0] ^ tags[1] ^ tags[2] == zero(2)
+
+
+def layout_walk(seq):
+    """The lift as one lift_layout row per output word, the slow way."""
+    out = []
+    for entry in lift_layout(len(seq)):
+        if entry.is_splice:
+            out.append(concat(zero(seq.dim), entry.splice).bits)
+        else:
+            tag = modifier(entry.kind, entry.v_index)
+            out.append(concat(seq.words[entry.v_index - 1], tag).bits)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("dim", range(5, 15))
+def test_lift_matches_the_layout_table(dim):
+    source = generate(dim)
+    assert lift(source).decimals == layout_walk(source)

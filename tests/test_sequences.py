@@ -1,3 +1,7 @@
+import copy
+import pickle
+from dataclasses import FrozenInstanceError
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -40,6 +44,42 @@ class TestSequenceType:
     def test_from_decimals_rejects_out_of_range(self):
         with pytest.raises(ValueError):
             seq(2, (1, 2, 4))
+        with pytest.raises(ValueError):
+            seq(2, (1, -1, 2))
+
+    def test_both_constructors_agree(self):
+        from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])
+        from_ints = seq(3, [1, 2, 3, 4, 5, 6, 7])
+        assert from_words == from_ints
+        assert hash(from_words) == hash(from_ints)
+        assert len({from_words, from_ints}) == 1
+        assert from_words.decimals == from_ints.decimals
+        assert from_words.words == from_ints.words
+        assert list(from_ints) == list(from_ints.words)
+
+    def test_inequality(self):
+        assert seq(2, (1, 2, 3)) != seq(2, (1, 3, 2))
+        assert seq(2, (1, 2, 3)) != (1, 2, 3)
+        assert seq(2, ()) != seq(3, ())
+
+    def test_words_are_built_once_on_first_read(self):
+        s = seq(3, (1, 2, 3))
+        assert s.words == (Word(1, 3), Word(2, 3), Word(3, 3))
+        assert s.words is s.words
+
+    @pytest.mark.parametrize("name", ("dim", "decimals", "words", "other"))
+    def test_immutable(self, name):
+        s = seq(2, (1, 2, 3))
+        with pytest.raises(FrozenInstanceError):
+            setattr(s, name, 5)
+        with pytest.raises(FrozenInstanceError):
+            delattr(s, name)
+        assert s.decimals == (1, 2, 3)
+
+    def test_copies_and_pickles_equal(self):
+        s = seq(3, (1, 2, 3, 4, 5, 6, 7))
+        assert pickle.loads(pickle.dumps(s)) == s
+        assert copy.deepcopy(s) == s
 
 
 class TestVerify:
