@@ -123,6 +123,16 @@ def _only(text: str, allowed: bytes) -> bool:
     return text.isascii() and not text.encode().translate(None, allowed)
 
 
+def _small_int(digits: str, bound: int) -> Optional[int]:
+    """The value of an ASCII digit string, or None if it has more digits than bound.
+
+    Leading zeros do not count (0003 is 3).  Deciding by length first keeps
+    int() off strings longer than its 4300-digit conversion limit.
+    """
+    digits = digits.lstrip("0") or "0"
+    return int(digits) if len(digits) <= len(str(bound)) else None
+
+
 def _is_binary_word(text: str, dim: int) -> bool:
     return len(text) == dim and set(text) <= {"0", "1"}
 
@@ -133,7 +143,10 @@ def _parse_header(lines: list[str]) -> int:
     header = lines[0].strip()
     if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
         raise ParseError(1, f"malformed header {header!r}; expected n=<dim>")
-    dim = int(header[2:])
+    dim = _small_int(header[2:], MAX_DIM)
+    if dim is None:
+        digits = len(header[2:].lstrip("0"))
+        raise ParseError(1, f"dimension must be at most {MAX_DIM}, got a {digits}-digit number")
     if dim < 2:
         raise ParseError(1, f"dimension must be at least 2, got {dim}")
     if dim > MAX_DIM:
@@ -173,8 +186,8 @@ def _parse_bulk(text: str, fmt: Optional[str]) -> Optional[tuple[TernarySequence
     header, _, body = text.partition("\n")
     if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
         return None
-    dim = int(header[2:])
-    if not 2 <= dim <= MAX_DIM:
+    dim = _small_int(header[2:], MAX_DIM)
+    if dim is None or not 2 <= dim <= MAX_DIM:
         return None
     expected = (1 << dim) - 1
     tokens = body.split()
@@ -229,7 +242,10 @@ def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
                     raise ParseError(no, f"{token!r} is not a decimal value")
                 if len(values) == expected:
                     raise ParseError(no, f"expected {expected} values, got more")
-                value = int(token)
+                value = _small_int(token, expected)
+                if value is None:
+                    digits = len(token.lstrip("0"))
+                    raise ParseError(no, f"{digits}-digit value out of range [1, {expected}]")
                 _check_value(value, expected, no)
                 values.append(value)
     if len(values) != expected:

@@ -136,20 +136,33 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
     return seq, used
 
 
+def _reduction_prefix(dim: int, symmetry_reduction: bool) -> tuple[int, ...]:
+    """canonical_prefix(dim) as the int prefix _explore takes, or () unreduced."""
+    return tuple(w.bits for w in canonical_prefix(dim)) if symmetry_reduction else ()
+
+
 def _explore(
     dim: int,
     mode: SearchMode,
     prefix: tuple[int, ...] = (),
     node_budget: Optional[int] = None,
+    orders: Optional[list[list[int]]] = None,
 ):
     """Depth-first scan of every ternary permutation extending `prefix`.
 
     prefix fixes the values of the leading open slots and costs no nodes.
-    Candidates at each open slot run in ascending decimal order, so with
-    an empty prefix the first full assignment found is the smallest
-    solution in decimal-tuple order.  Stops at the first solution except
-    in count mode.  Returns (first solution as decimals or None,
-    solution count so far, nodes).
+    orders[i] lists the candidates for open slot len(prefix) + i in the
+    order they are tried, and must hold each of 1 .. 2**dim - 1 once;
+    None means ascending decimal order at every slot, so with an empty
+    prefix the first full assignment found is the smallest solution in
+    decimal-tuple order.  The tree is the same whatever the order: a full
+    traversal (count mode, or one that finds nothing) gives the same count
+    and nodes, and only where it stops depends on the order.  nodes counts
+    candidates assigned at open slots, including ones whose forced follower
+    collides; candidates whose word is already in use do not count.  Going
+    past node_budget raises BudgetExhaustedError(node_budget + 1).  Stops
+    at the first solution except in count mode.  Returns (first solution
+    as decimals or None, solution count so far, nodes).
     """
     size = (1 << dim) - 1
     free = _free_positions(dim)
@@ -162,44 +175,44 @@ def _explore(
     if start == n_free:
         # the prefix and its forced moves already fill every position
         return tuple(seq[1:]), 1, 0
+    if orders is None:
+        orders = [range(1, size + 1)] * (n_free - start)
 
     nodes = 0
     count = 0
     first: Optional[tuple[int, ...]] = None
-    nxt = [1] * n_free  # next candidate value to try at each slot
+    todo: list = [None] * n_free  # iterator over each slot's untried candidates
     und = [0] * n_free  # used-bits to clear when a slot's assignment is undone
     d = start
+    todo[d] = iter(orders[0])
     while d >= start:
-        w = nxt[d]
         placed = 0
         p = free[d]
-        while w <= size:
+        for w in todo[d]:
             m = 1 << w
-            if not used & m:
-                nodes += 1
-                if node_budget is not None and nodes > node_budget:
-                    raise BudgetExhaustedError(nodes)
-                if p & 1:
-                    seq[p] = w
-                    used |= m
-                    placed = m
-                    break
-                f = seq[p - 1] ^ w
-                fm = 1 << f
-                if not used & fm:
-                    seq[p] = w
-                    seq[p + 1] = f
-                    used |= m | fm
-                    placed = m | fm
-                    break
-            w += 1
+            if used & m:
+                continue
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise BudgetExhaustedError(nodes)
+            if p & 1:
+                seq[p] = w
+                used |= m
+                placed = m
+                break
+            f = seq[p - 1] ^ w
+            fm = 1 << f
+            if not used & fm:
+                seq[p] = w
+                seq[p + 1] = f
+                used |= m | fm
+                placed = m | fm
+                break
         if not placed:
-            nxt[d] = 1
             d -= 1
             if d >= start:
                 used &= ~und[d]
             continue
-        nxt[d] = w + 1
         und[d] = placed
         if d + 1 == n_free:
             count += 1
@@ -210,7 +223,17 @@ def _explore(
             used &= ~und[d]
             continue
         d += 1
+        todo[d] = iter(orders[d - start])
     return first, count, nodes
+
+
+def _verified(dim: int, decimals: tuple[int, ...]) -> TernarySequence:
+    """The sequence a search found, verified; a failure is a kernel regression."""
+    sequence = TernarySequence.from_decimals(dim, decimals)
+    report = verify(sequence)
+    if not report.valid:
+        raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
+    return sequence
 
 
 def search(config: SearchConfig) -> SearchOutcome:
@@ -222,10 +245,7 @@ def search(config: SearchConfig) -> SearchOutcome:
     on); prove_none reports True only after a full traversal finds
     nothing, and short-circuits to False on the first solution.
     """
-    prefix: tuple[int, ...] = ()
-    if config.symmetry_reduction:
-        a, b = canonical_prefix(config.dim)
-        prefix = (a.bits, b.bits)
+    prefix = _reduction_prefix(config.dim, config.symmetry_reduction)
     budget = config.node_budget
     if budget is None and config.mode is SearchMode.FIRST and config.dim >= 5:
         budget = DEFAULT_FIRST_MODE_BUDGET
@@ -236,10 +256,7 @@ def search(config: SearchConfig) -> SearchOutcome:
     nonexistent = None
     if config.mode is SearchMode.FIRST:
         if first is not None:
-            sequence = TernarySequence.from_decimals(config.dim, first)
-            report = verify(sequence)
-            if not report.valid:  # search kernel regression; cannot happen otherwise
-                raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
+            sequence = _verified(config.dim, first)
     elif config.mode is SearchMode.COUNT:
         out_count = count
     else:
@@ -277,10 +294,7 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
         raise ValueError("node budgets do not split across workers; run sequentially")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    base: tuple[int, ...] = ()
-    if config.symmetry_reduction:
-        a, b = canonical_prefix(config.dim)
-        base = (a.bits, b.bits)
+    base = _reduction_prefix(config.dim, config.symmetry_reduction)
     size = (1 << config.dim) - 1
     applied = _apply_prefix(config.dim, base)
     if applied is None:  # unreachable for the fixed (1, 2) prefix
@@ -306,73 +320,6 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     )
 
 
-def _explore_ordered(
-    dim: int,
-    prefix: tuple[int, ...],
-    orders: list[list[int]],
-    node_budget: int,
-):
-    """First-solution scan with a fixed candidate order per open slot.
-
-    Same tree as _explore, different visiting order.  Used by the seeded
-    discovery path; exhaustive modes stay with the ascending kernel.
-    Returns (solution decimals or None, nodes).
-    """
-    size = (1 << dim) - 1
-    free = _free_positions(dim)
-    n_free = len(free)
-    applied = _apply_prefix(dim, prefix)
-    if applied is None:
-        return None, 0
-    seq, used = applied
-    start = len(prefix)
-    if start == n_free:
-        return tuple(seq[1:]), 0
-
-    nodes = 0
-    idx = [0] * n_free
-    und = [0] * n_free
-    d = start
-    while d >= start:
-        p = free[d]
-        order = orders[d - start]
-        placed = 0
-        while idx[d] < size:
-            w = order[idx[d]]
-            idx[d] += 1
-            m = 1 << w
-            if used & m:
-                continue
-            nodes += 1
-            if nodes > node_budget:
-                return None, nodes
-            if p & 1:
-                seq[p] = w
-                used |= m
-                placed = m
-                break
-            f = seq[p - 1] ^ w
-            fm = 1 << f
-            if used & fm:
-                continue
-            seq[p] = w
-            seq[p + 1] = f
-            used |= m | fm
-            placed = m | fm
-            break
-        if not placed:
-            idx[d] = 0
-            d -= 1
-            if d >= start:
-                used &= ~und[d]
-            continue
-        und[d] = placed
-        if d + 1 == n_free:
-            return tuple(seq[1:]), nodes
-        d += 1
-    return None, nodes
-
-
 def search_randomized(
     dim: int,
     seed: int = 0,
@@ -395,29 +342,26 @@ def search_randomized(
         raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
     if attempts < 1 or attempt_budget < 1:
         raise ValueError("attempts and attempt_budget must be positive")
-    prefix: tuple[int, ...] = ()
-    if symmetry_reduction:
-        a, b = canonical_prefix(dim)
-        prefix = (a.bits, b.bits)
+    prefix = _reduction_prefix(dim, symmetry_reduction)
     size = (1 << dim) - 1
     n_open = len(_free_positions(dim)) - len(prefix)
     total_nodes = 0
     for attempt in range(attempts):
         rng = random.Random(seed + attempt)
         orders = [rng.sample(range(1, size + 1), size) for _ in range(n_open)]
-        first, nodes = _explore_ordered(dim, prefix, orders, attempt_budget)
+        try:
+            first, _, nodes = _explore(dim, SearchMode.FIRST, prefix, attempt_budget, orders)
+        except BudgetExhaustedError as exc:
+            total_nodes += exc.nodes_explored
+            continue
         total_nodes += nodes
         if first is not None:
-            sequence = TernarySequence.from_decimals(dim, first)
-            report = verify(sequence)
-            if not report.valid:  # kernel regression; cannot happen otherwise
-                raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
             return SearchOutcome(
                 dim=dim,
                 mode=SearchMode.FIRST,
                 symmetry_reduction=symmetry_reduction,
                 nodes_explored=total_nodes,
-                sequence=sequence,
+                sequence=_verified(dim, first),
             )
     raise BudgetExhaustedError(total_nodes)
 

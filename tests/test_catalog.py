@@ -194,6 +194,15 @@ class TestParseErrors:
     def test_header_dimension_too_large(self):
         self.assert_parse_error("n=31\n1\n", "at most 30", line=1)
 
+    def test_header_past_int_digit_limit(self):
+        text = "n=" + "9" * 5000 + "\n1 2 3\n"
+        assert catalog._parse_bulk(text, None) is None
+        self.assert_parse_error(text, "at most 30, got a 5000-digit number", line=1)
+
+    def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
+        padded = "n=" + "0" * 5000 + "2\n1 2\n" + "0" * 5000 + "3\n"
+        assert parse_sequence_text(padded) == parse_sequence_text("n=2\n1 2 3\n")
+
     def test_empty_file(self):
         self.assert_parse_error("", "empty file", line=1)
 
@@ -341,7 +350,9 @@ class TestBaseCaseStore:
         assert store.entry(5).source == "fixture"
 
     def test_generate_uses_supplied_store(self, tmp_path):
+        # n=8 lifts from the n=6 base, which a store without fixtures finds
+        # by the seeded search in 2,204 nodes; n=5 would take 3.4M
         store = BaseCaseStore(fixture_dir=tmp_path)
-        seq = generate(7, store=store)
+        seq = generate(8, store=store)
         assert verify(seq).valid
-        assert store.entry(5).source == "searched"
+        assert store.entry(6).source == "searched"

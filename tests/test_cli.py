@@ -94,6 +94,29 @@ class TestVerify:
         assert out == ""
         assert f"line {line}:" in err
 
+    @pytest.mark.parametrize(
+        "text,line,message",
+        [
+            ("n=" + "9" * 5000 + "\n1 2 3\n", 1, "dimension must be at most 30"),
+            ("n=2\n1 2 " + "9" * 5000 + "\n", 2, "5000-digit value out of range [1, 3]"),
+        ],
+        ids=["long-header", "long-value"],
+    )
+    def test_tokens_past_the_int_digit_limit_are_a_parse_error(self, capsys, tmp_path, text, line, message):
+        path = tmp_path / "long.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert f"line {line}: {message}" in err
+
+    def test_long_leading_zeros_keep_their_meaning(self, capsys, tmp_path):
+        path = tmp_path / "zeros.txt"
+        path.write_text("n=2\n1 2\n" + "0" * 5000 + "3\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_OK
+        assert out == "valid\n"
+
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
         assert code == EXIT_FAILURE

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from ternaryperm.search import (
@@ -13,6 +15,7 @@ from ternaryperm.search import (
     search_parallel,
     search_randomized,
 )
+from ternaryperm.search import _explore, _free_positions, _reduction_prefix
 from ternaryperm.sequences import verify
 from ternaryperm.words import Word
 
@@ -23,6 +26,12 @@ def run(dim, mode, reduce=False, budget=None):
     return search(
         SearchConfig(dim=dim, mode=mode, symmetry_reduction=reduce, node_budget=budget)
     )
+
+
+@pytest.fixture(scope="module")
+def dim5_first_reduced():
+    """The reduced first-mode search at dimension 5, about 3.4M nodes, run once."""
+    return run(5, SearchMode.FIRST, reduce=True)
 
 
 class TestConfig:
@@ -89,15 +98,13 @@ class TestFirstMode:
         outcome = run(3, SearchMode.FIRST)
         assert outcome.sequence is None
 
-    def test_returned_sequences_pass_verify(self):
-        for dim in (2, 5):
-            outcome = run(dim, SearchMode.FIRST, reduce=True)
+    def test_returned_sequences_pass_verify(self, dim5_first_reduced):
+        for outcome in (run(2, SearchMode.FIRST, reduce=True), dim5_first_reduced):
             assert verify(outcome.sequence).valid
 
-    def test_dim5_first_reduced_regression(self):
-        outcome = run(5, SearchMode.FIRST, reduce=True)
-        assert outcome.sequence.decimals == BASE5_DECIMALS
-        assert outcome.nodes_explored == 3403049
+    def test_dim5_first_reduced_regression(self, dim5_first_reduced):
+        assert dim5_first_reduced.sequence.decimals == BASE5_DECIMALS
+        assert dim5_first_reduced.nodes_explored == 3403049
 
     def test_reruns_are_identical(self):
         first = run(3, SearchMode.PROVE_NONE)
@@ -120,6 +127,31 @@ class TestProveNone:
             reduced = run(dim, SearchMode.PROVE_NONE, reduce=True)
             unreduced = run(dim, SearchMode.PROVE_NONE)
             assert reduced.nonexistent == unreduced.nonexistent
+
+
+class TestCandidateOrder:
+    """_explore visits one tree whatever the candidate order at each slot."""
+
+    @pytest.mark.parametrize(
+        "dim,mode,reduce,expected",
+        [
+            (2, SearchMode.COUNT, False, (6, 9)),
+            (3, SearchMode.COUNT, False, (0, 553)),
+            (4, SearchMode.PROVE_NONE, True, (0, 9348)),
+        ],
+    )
+    def test_shuffled_orders_give_the_same_full_traversal(self, dim, mode, reduce, expected):
+        prefix = _reduction_prefix(dim, reduce)
+        size = (1 << dim) - 1
+        rng = random.Random(7)
+        orders = [
+            rng.sample(range(1, size + 1), size)
+            for _ in range(len(_free_positions(dim)) - len(prefix))
+        ]
+        _, count, nodes = _explore(dim, mode, prefix, orders=orders)
+        assert (count, nodes) == expected
+        _, count, nodes = _explore(dim, mode, prefix)
+        assert (count, nodes) == expected
 
 
 class TestBudget:
@@ -171,13 +203,18 @@ class TestRandomizedDiscovery:
         assert a.sequence == b.sequence
         assert a.nodes_explored == b.nodes_explored
 
+    def test_dim6_node_count_is_pinned(self):
+        assert search_randomized(6, seed=0).nodes_explored == 2204
+
     def test_tiny_dims_work(self):
         outcome = search_randomized(2, seed=0)
         assert outcome.sequence.decimals == (1, 2, 3)
 
     def test_all_attempts_exhausted_raises(self):
-        with pytest.raises(BudgetExhaustedError):
+        with pytest.raises(BudgetExhaustedError) as err:
             search_randomized(3, seed=0, attempts=2, attempt_budget=5)
+        # each attempt stops on its sixth node, one past its budget of five
+        assert err.value.nodes_explored == 12
 
 
 class TestImpossibility:
