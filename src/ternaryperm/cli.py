@@ -17,6 +17,7 @@ from .catalog import (
     format_sequence,
     generate,
     load,
+    write_text_atomic,
 )
 from .search import (
     MAX_SEARCH_DIM,
@@ -90,7 +91,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        out.write_text(text)
+        write_text_atomic(out, text)
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:

@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass
 from enum import Enum
 from itertools import permutations
+from math import inf
 from typing import Optional
 
 from ._version import VERSION
@@ -141,6 +142,22 @@ def _reduction_prefix(dim: int, symmetry_reduction: bool) -> tuple[int, ...]:
     return tuple(w.bits for w in canonical_prefix(dim)) if symmetry_reduction else ()
 
 
+def _xor_swaps(dim: int) -> list[tuple[tuple[int, int], ...]]:
+    """Per word c, the butterfly steps that carry bit w of a mask to bit w ^ c.
+
+    Flipping bit b of every index swaps neighbouring blocks of 2**b bits;
+    lo marks the indices whose bit b is clear.  One step
+    ((m >> s) & lo) | ((m & lo) << s), s = 2**b, per set bit b of c maps
+    a mask over 0 .. 2**dim - 1 through w -> w ^ c.
+    """
+    steps = []
+    for b in range(dim):
+        s = 1 << b
+        lo = sum(1 << w for w in range(1 << dim) if not w & s)
+        steps.append((s, lo))
+    return [tuple(steps[b] for b in range(dim) if c >> b & 1) for c in range(1 << dim)]
+
+
 def _explore(
     dim: int,
     mode: SearchMode,
@@ -163,10 +180,18 @@ def _explore(
     past node_budget raises BudgetExhaustedError(node_budget + 1).  Stops
     at the first solution except in count mode.  Returns (first solution
     as decimals or None, solution count so far, nodes).
+
+    A slot works on two bitmasks, not candidate by candidate: free holds
+    the unused words and ok those of them whose forced follower (the word
+    XOR the one before it) is unused too.  The lowest bit of ok is the next
+    assignment; every free bit up to it is a candidate tried on the way,
+    so nodes grows by their bit count.  Given orders, both masks are
+    re-indexed on slot entry so that bit r stands for the slot's r-th
+    candidate, which makes the lowest bit the next one in that order.
     """
     size = (1 << dim) - 1
-    free = _free_positions(dim)
-    n_free = len(free)
+    free_pos = _free_positions(dim)
+    n_free = len(free_pos)
     applied = _apply_prefix(dim, prefix)
     if applied is None:
         return None, 0, 0
@@ -175,56 +200,73 @@ def _explore(
     if start == n_free:
         # the prefix and its forced moves already fill every position
         return tuple(seq[1:]), 1, 0
-    if orders is None:
-        orders = [range(1, size + 1)] * (n_free - start)
-
+    swaps = _xor_swaps(dim)
+    full = (1 << (size + 1)) - 2  # words 1 .. size
+    budget = inf if node_budget is None else node_budget
     nodes = 0
     count = 0
     first: Optional[tuple[int, ...]] = None
-    todo: list = [None] * n_free  # iterator over each slot's untried candidates
+    free_left = [0] * n_free  # per slot: free candidates not tried yet
+    ok_left = [0] * n_free  # per slot: assignable candidates not tried yet
     und = [0] * n_free  # used-bits to clear when a slot's assignment is undone
-    d = start
-    todo[d] = iter(orders[0])
-    while d >= start:
-        placed = 0
-        p = free[d]
-        for w in todo[d]:
-            m = 1 << w
-            if used & m:
-                continue
-            nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise BudgetExhaustedError(nodes)
+    d = start - 1
+    while True:
+        # descend to slot d + 1 and work out its masks
+        d += 1
+        p = free_pos[d]
+        free = full ^ used
+        if p & 1:
+            ok = free
+        else:
+            t = free
+            for s, lo in swaps[seq[p - 1]]:
+                t = ((t >> s) & lo) | ((t & lo) << s)
+            ok = free & t
+        if orders is not None:
+            order = orders[d - start]
+            free = sum(1 << r for r, w in enumerate(order) if free >> w & 1)
+            ok = sum(1 << r for r, w in enumerate(order) if ok >> w & 1)
+        while True:  # assign at slot d; at the last slot, again after each solution counted
+            while not ok:  # slot d is exhausted: back up
+                nodes += free.bit_count()
+                if nodes > budget:
+                    raise BudgetExhaustedError(node_budget + 1)
+                d -= 1
+                if d < start:
+                    return first, count, nodes
+                used ^= und[d]
+                free = free_left[d]
+                ok = ok_left[d]
+            low = ok & -ok
+            tried = free & ((low << 1) - 1)
+            nodes += tried.bit_count()
+            if nodes > budget:
+                raise BudgetExhaustedError(node_budget + 1)
+            free_left[d] = free ^ tried
+            ok_left[d] = ok ^ low
+            w = low.bit_length() - 1
+            if orders is not None:
+                w = orders[d - start][w]
+            p = free_pos[d]
+            seq[p] = w
             if p & 1:
-                seq[p] = w
-                used |= m
-                placed = m
-                break
-            f = seq[p - 1] ^ w
-            fm = 1 << f
-            if not used & fm:
-                seq[p] = w
+                m = 1 << w
+            else:
+                f = seq[p - 1] ^ w
                 seq[p + 1] = f
-                used |= m | fm
-                placed = m | fm
+                m = (1 << w) | (1 << f)
+            used |= m
+            und[d] = m
+            if d + 1 < n_free:
                 break
-        if not placed:
-            d -= 1
-            if d >= start:
-                used &= ~und[d]
-            continue
-        und[d] = placed
-        if d + 1 == n_free:
             count += 1
             if first is None:
                 first = tuple(seq[1:])
             if mode is not SearchMode.COUNT:
-                break
-            used &= ~und[d]
-            continue
-        d += 1
-        todo[d] = iter(orders[d - start])
-    return first, count, nodes
+                return first, count, nodes
+            used ^= m
+            free = free_left[d]
+            ok = ok_left[d]
 
 
 def _verified(dim: int, decimals: tuple[int, ...]) -> TernarySequence:
@@ -302,6 +344,8 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     _, used = applied
     candidates = [c for c in range(1, size + 1) if not (used >> c) & 1]
     tasks = [(config.dim, config.mode.value, base + (c,)) for c in candidates]
+    if not tasks:  # the prefix fills every slot (dimension 2, reduced): nothing to split
+        return search(config)
     # imported here: it pulls in multiprocessing, which no other command needs
     from concurrent.futures import ProcessPoolExecutor
 

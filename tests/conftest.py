@@ -1,5 +1,8 @@
+import errno
+
 import pytest
 
+from ternaryperm import catalog
 from ternaryperm.sequences import TernarySequence
 
 # First solution of the reduced ascending search at dimension 5, frozen as a
@@ -14,3 +17,28 @@ BASE5_DECIMALS = (
 @pytest.fixture
 def base5():
     return TernarySequence.from_decimals(5, BASE5_DECIMALS)
+
+
+@pytest.fixture
+def writes_fail_midway(monkeypatch):
+    """Make catalog's file writes stop with ENOSPC after half of the text."""
+    real_open = open
+
+    class HalfWriter:
+        def __init__(self, handle):
+            self.handle = handle
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc_info):
+            self.handle.close()
+
+        def write(self, text):
+            self.handle.write(text[: len(text) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(
+        catalog, "open", lambda path, mode: HalfWriter(real_open(path, mode)), raising=False
+    )

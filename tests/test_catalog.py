@@ -52,6 +52,23 @@ class TestGenerate:
         with pytest.raises(ValueError):
             generate(31)
 
+    def test_refuses_a_peak_beyond_physical_memory(self, monkeypatch):
+        peak = catalog.GEN_BYTES_PER_WORD * (2**7 - 1)
+        monkeypatch.setattr(catalog, "_physical_memory", lambda: peak)
+        assert generate(7).dim == 7
+        monkeypatch.setattr(catalog, "_physical_memory", lambda: peak - 1)
+        with pytest.raises(ValueError, match="n=7 needs about .* physical memory"):
+            generate(7)
+        assert generate(6).dim == 6
+
+    def test_unknown_physical_memory_refuses_nothing(self, monkeypatch):
+        monkeypatch.setattr(catalog, "_physical_memory", lambda: None)
+        assert generate(7).dim == 7
+
+    def test_memory_probe(self):
+        memory = catalog._physical_memory()
+        assert memory is None or memory > 0
+
     @pytest.mark.parametrize("n", (5, 6, 7, 8, 9, 10))
     def test_generated_sequences_are_valid(self, n):
         seq = generate(n)
@@ -130,6 +147,21 @@ class TestFormats:
         text = format_sequence(generate(2), "binary")
         result = load(io.StringIO(text), "binary")
         assert result.format == "binary"
+
+    def test_save_replaces_a_file_in_one_step(self, tmp_path):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        save(generate(5), target)
+        assert load(target).sequence == generate(5)
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path, writes_fail_midway):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        with pytest.raises(OSError, match="No space left"):
+            save(generate(5), target)
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
 
     def test_save_refuses_invalid_sequences(self, tmp_path):
         bad = TernarySequence.from_decimals(3, range(1, 8))

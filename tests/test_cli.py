@@ -1,5 +1,6 @@
 import pytest
 
+from ternaryperm import catalog
 from ternaryperm.catalog import format_sequence, generate
 from ternaryperm.cli import (
     EXIT_BUDGET,
@@ -47,6 +48,22 @@ class TestGen:
         assert code == EXIT_OK
         assert out == ""
         assert target.read_text() == format_sequence(generate(5))
+
+    def test_failed_write_keeps_the_old_file(self, capsys, tmp_path, writes_fail_midway):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(target))
+        assert code == EXIT_FAILURE
+        assert "No space left" in err
+        assert target.read_text() == "old\n"
+        assert list(tmp_path.iterdir()) == [target]
+
+    def test_dim_beyond_physical_memory_is_refused(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "_physical_memory", lambda: 10**6)
+        code, out, err = run(capsys, "gen", "--dim", "15")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "n=15 needs about 6 MB at its peak, more than the 1 MB of physical memory" in err
 
     def test_invalid_dim(self, capsys):
         code, _, err = run(capsys, "gen", "--dim", "1")
@@ -163,6 +180,13 @@ class TestSearch:
         )
         assert code == EXIT_OK
         assert out == "0\n"
+
+    @pytest.mark.parametrize("mode,expected", [("count", "1\n"), ("prove-none", "nonexistent=false\n")])
+    def test_parallel_with_nothing_to_split_gives_the_sequential_answer(self, capsys, mode, expected):
+        # the reduction prefix (1, 2) fills every slot at dimension 2
+        args = ("search", "--dim", "2", "--mode", mode, "--reduce")
+        assert run(capsys, *args) == (EXIT_OK, expected, "")
+        assert run(capsys, *args, "--parallel", "2") == (EXIT_OK, expected, "")
 
     def test_parallel_first_is_invalid(self, capsys):
         code, _, err = run(

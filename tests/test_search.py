@@ -28,6 +28,84 @@ def run(dim, mode, reduce=False, budget=None):
     )
 
 
+def reference_explore(dim, mode, prefix=(), node_budget=None, orders=None):
+    """_explore's contract restated one candidate at a time, by recursion.
+
+    The test oracle for the bitmask kernel: same tree, same node rule
+    (every unused candidate tried at an open slot counts, collided
+    followers included), same budget rule and the same return value.
+    """
+    size = (1 << dim) - 1
+    slots = [1] + list(range(2, size, 2))
+    seq = [0] * (size + 1)
+    nodes = count = 0
+    first = None
+
+    def visit(i, used):
+        nonlocal nodes, count, first
+        if i == len(slots):
+            count += 1
+            first = first or tuple(seq[1:])
+            return mode is not SearchMode.COUNT
+        if i < len(prefix):
+            candidates = prefix[i : i + 1]
+        else:
+            candidates = range(1, size + 1) if orders is None else orders[i - len(prefix)]
+        p = slots[i]
+        for w in candidates:
+            if used >> w & 1:
+                continue
+            if i >= len(prefix):
+                nodes += 1
+                if node_budget is not None and nodes > node_budget:
+                    raise BudgetExhaustedError(nodes)
+            seq[p] = w
+            placed = 1 << w
+            if p > 1:  # even position: the next word is forced
+                seq[p + 1] = seq[p - 1] ^ w
+                if used >> seq[p + 1] & 1:
+                    continue
+                placed |= 1 << seq[p + 1]
+            if visit(i + 1, used | placed):
+                return True
+        return False
+
+    visit(0, 0)
+    return first, count, nodes
+
+
+def random_valid_prefix(rng, dim, length):
+    """Up to `length` slot values drawn at random, each placeable after the ones before."""
+    size = (1 << dim) - 1
+    slots = [1] + list(range(2, size, 2))
+    seq = [0] * (size + 1)
+    used = set()
+    prefix = []
+    for p in slots[:length]:
+        options = [
+            w for w in range(1, size + 1)
+            if w not in used and (p == 1 or seq[p - 1] ^ w not in used)
+        ]
+        if not options:
+            break
+        w = rng.choice(options)
+        seq[p] = w
+        used.add(w)
+        if p > 1:
+            seq[p + 1] = seq[p - 1] ^ w
+            used.add(seq[p + 1])
+        prefix.append(w)
+    return tuple(prefix)
+
+
+def shuffled_orders(rng, dim, n_prefix):
+    size = (1 << dim) - 1
+    return [
+        rng.sample(range(1, size + 1), size)
+        for _ in range(len(_free_positions(dim)) - n_prefix)
+    ]
+
+
 @pytest.fixture(scope="module")
 def dim5_first_reduced():
     """The reduced first-mode search at dimension 5, about 3.4M nodes, run once."""
@@ -142,16 +220,56 @@ class TestCandidateOrder:
     )
     def test_shuffled_orders_give_the_same_full_traversal(self, dim, mode, reduce, expected):
         prefix = _reduction_prefix(dim, reduce)
-        size = (1 << dim) - 1
-        rng = random.Random(7)
-        orders = [
-            rng.sample(range(1, size + 1), size)
-            for _ in range(len(_free_positions(dim)) - len(prefix))
-        ]
+        orders = shuffled_orders(random.Random(7), dim, len(prefix))
         _, count, nodes = _explore(dim, mode, prefix, orders=orders)
         assert (count, nodes) == expected
         _, count, nodes = _explore(dim, mode, prefix)
         assert (count, nodes) == expected
+
+
+class TestKernelOracle:
+    """_explore against the per-candidate reference_explore: (first, count, nodes)."""
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_full_trees(self, dim, mode, reduce):
+        prefix = _reduction_prefix(dim, reduce)
+        outcome = _explore(dim, mode, prefix)
+        assert outcome == reference_explore(dim, mode, prefix)
+        # no solutions at dimensions 3 and 4: every mode traverses the whole tree
+        pinned_nodes = {(3, False): 553, (3, True): 12, (4, False): 1963305, (4, True): 9348}
+        if dim > 2:
+            assert outcome == (None, 0, pinned_nodes[dim, reduce])
+
+    def test_random_valid_prefixes(self):
+        rng = random.Random(11)
+        for dim, length in ((3, 2), (4, 3), (4, 5), (5, 9), (5, 11)):
+            for _ in range(6):
+                prefix = random_valid_prefix(rng, dim, length)
+                for mode in SearchMode:
+                    assert _explore(dim, mode, prefix) == reference_explore(dim, mode, prefix)
+
+    def test_shuffled_orders(self):
+        rng = random.Random(13)
+        cases = [(2, ()), (3, ()), (3, (1, 2)), (4, (1, 2))]
+        cases += [(5, random_valid_prefix(rng, 5, 9)) for _ in range(6)]
+        for dim, prefix in cases:
+            orders = shuffled_orders(rng, dim, len(prefix))
+            for mode in SearchMode:
+                expected = reference_explore(dim, mode, prefix, orders=orders)
+                assert _explore(dim, mode, prefix, orders=orders) == expected
+
+    def test_every_budget_stops_where_the_reference_does(self):
+        def outcome(explore, budget):
+            try:
+                return explore(3, SearchMode.COUNT, (), budget)
+            except BudgetExhaustedError as exc:
+                return exc.nodes_explored
+
+        for budget in range(1, 554):
+            expected = budget + 1 if budget < 553 else (None, 0, 553)
+            assert outcome(_explore, budget) == outcome(reference_explore, budget) == expected
 
 
 class TestBudget:
