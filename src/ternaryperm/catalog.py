@@ -106,7 +106,7 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
         base = 5 if n % 2 else 6
         seq = store.get(base)
         for _ in range((n - base) // 2):
-            seq = lift(seq)  # the store verifies every base case, lift its every output
+            seq = lift(seq)  # each sequence on the chain is checked once: verify keeps its report
     return seq
 
 

@@ -155,8 +155,9 @@ def lift(seq: TernarySequence) -> TernarySequence:
     Every output word is a source word (or the zero word, for splices)
     with a two-bit suffix appended, placed as lift_layout lays out: each
     tag family tags the whole source once, and the four blocks are
-    slices of those tagged copies.  The output is re-verified before it
-    is returned.
+    slices of those tagged copies.  Input and output are both verified;
+    verify() keeps its report on the sequence, so along a chain of lifts
+    the input check is a lookup of the previous lift's output check.
     """
     if seq.dim < 3:
         raise ValueError(f"lifting needs dimension >= 3, got {seq.dim}")

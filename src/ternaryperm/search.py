@@ -69,7 +69,11 @@ class SearchOutcome:
     nodes_explored counts candidate assignments attempted at open slots,
     including ones whose forced follower immediately collided; candidates
     skipped because their word was already in use are not assignments.
-    Fields other than the one matching the mode stay None.
+    Some candidates are counted in bulk rather than one at a time: those
+    of a slot where none fits, and of a second-to-last slot that holds no
+    solution, are added without the slot being entered.  The total is
+    the same as one candidate at a time.  Fields other than the one
+    matching the mode stay None.
     """
 
     dim: int
@@ -188,6 +192,22 @@ def _explore(
     so nodes grows by their bit count.  Given orders, both masks are
     re-indexed on slot entry so that bit r stands for the slot's r-th
     candidate, which makes the lowest bit the next one in that order.
+
+    The next slot's masks are worked out before an assignment is
+    committed, and two kinds of next slot are counted without being
+    entered.  A dead slot (ok empty) tries each free word, and each
+    collides: free.bit_count() nodes.  The second-to-last slot has four
+    words left; when it holds no solution, each of them is tried and each
+    assignable one leaves the last slot two words, both tried and both
+    colliding: free.bit_count() + 2 * ok.bit_count() nodes.  It holds a
+    solution exactly when ok has two bits, x and its follower y, and the
+    two words left over (free ^ ok) XOR to one of them, say y: assigning
+    x puts y just before the last slot, where each leftover word then has
+    the other as its follower.  Such a slot is entered.  A subtree counted
+    in place holds no solution and would be traversed in full, so its
+    nodes do not depend on the order, and the count, the nodes and the
+    first solution are the ones a slot by slot scan gives.  The budget is
+    checked after each of these bulk adds as after every other one.
     """
     size = (1 << dim) - 1
     free_pos = _free_positions(dim)
@@ -201,32 +221,33 @@ def _explore(
         # the prefix and its forced moves already fill every position
         return tuple(seq[1:]), 1, 0
     swaps = _xor_swaps(dim)
-    full = (1 << (size + 1)) - 2  # words 1 .. size
     budget = inf if node_budget is None else node_budget
     nodes = 0
     count = 0
     first: Optional[tuple[int, ...]] = None
-    free_left = [0] * n_free  # per slot: free candidates not tried yet
-    ok_left = [0] * n_free  # per slot: assignable candidates not tried yet
-    und = [0] * n_free  # used-bits to clear when a slot's assignment is undone
-    d = start - 1
+    free_left = [0] * n_free  # per entered slot: free candidates not tried yet
+    ok_left = [0] * n_free  # per entered slot: assignable candidates not tried yet
+    und = [0] * n_free  # bits to give back to avail when a slot's assignment is undone
+    last = n_free - 1
+    pen = n_free - 2  # the second-to-last slot
+    # Slot d sits at position p, after the word prev; avail holds every
+    # unused word.  At position 1 prev is seq[0], which stays 0, so every
+    # free word there is assignable and c = w below adds no second bit.
+    d = start
+    p = free_pos[d]
+    prev = seq[p - 1]
+    avail = ((1 << (size + 1)) - 2) ^ used  # words 1 .. size, less the used ones
+    t = avail
+    for s, lo in swaps[prev]:
+        t = ((t >> s) & lo) | ((t & lo) << s)
+    free = avail
+    ok = avail & t
     while True:
-        # descend to slot d + 1 and work out its masks
-        d += 1
-        p = free_pos[d]
-        free = full ^ used
-        if p & 1:
-            ok = free
-        else:
-            t = free
-            for s, lo in swaps[seq[p - 1]]:
-                t = ((t >> s) & lo) | ((t & lo) << s)
-            ok = free & t
-        if orders is not None:
+        if orders is not None:  # slot d was just entered
             order = orders[d - start]
             free = sum(1 << r for r, w in enumerate(order) if free >> w & 1)
             ok = sum(1 << r for r, w in enumerate(order) if ok >> w & 1)
-        while True:  # assign at slot d; at the last slot, again after each solution counted
+        while True:  # try slot d's candidates until one enters slot d + 1
             while not ok:  # slot d is exhausted: back up
                 nodes += free.bit_count()
                 if nodes > budget:
@@ -234,39 +255,64 @@ def _explore(
                 d -= 1
                 if d < start:
                     return first, count, nodes
-                used ^= und[d]
+                avail ^= und[d]
                 free = free_left[d]
                 ok = ok_left[d]
+                p = free_pos[d]
+                prev = seq[p - 1]
             low = ok & -ok
             tried = free & ((low << 1) - 1)
             nodes += tried.bit_count()
             if nodes > budget:
                 raise BudgetExhaustedError(node_budget + 1)
-            free_left[d] = free ^ tried
-            ok_left[d] = ok ^ low
+            free ^= tried
+            ok ^= low
             w = low.bit_length() - 1
             if orders is not None:
                 w = orders[d - start][w]
-            p = free_pos[d]
-            seq[p] = w
-            if p & 1:
-                m = 1 << w
-            else:
-                f = seq[p - 1] ^ w
-                seq[p + 1] = f
-                m = (1 << w) | (1 << f)
-            used |= m
-            und[d] = m
-            if d + 1 < n_free:
-                break
-            count += 1
-            if first is None:
-                first = tuple(seq[1:])
-            if mode is not SearchMode.COUNT:
-                return first, count, nodes
-            used ^= m
-            free = free_left[d]
-            ok = ok_left[d]
+            c = prev ^ w  # the forced follower, and the word before slot d + 1
+            m = (1 << w) | (1 << c)
+            if d == last:
+                seq[p] = w
+                seq[p + 1] = c
+                count += 1
+                if first is None:
+                    first = tuple(seq[1:])
+                if mode is not SearchMode.COUNT:
+                    return first, count, nodes
+                continue
+            # slot d + 1's masks, worked out before w is committed
+            nfree = avail ^ m
+            t = nfree
+            for s, lo in swaps[c]:
+                t = ((t >> s) & lo) | ((t & lo) << s)
+            nok = nfree & t
+            if not nok:  # dead: every free word there is tried and collides
+                nodes += nfree.bit_count()
+                if nodes > budget:
+                    raise BudgetExhaustedError(node_budget + 1)
+                continue
+            if d + 1 == pen:  # four words left there
+                rest = nfree ^ nok
+                # the XOR of the two words left over when ok has two bits
+                x = ((rest & -rest).bit_length() - 1) ^ (rest.bit_length() - 1)
+                if nok.bit_count() != 2 or not nok >> x & 1:  # holds no solution
+                    nodes += nfree.bit_count() + 2 * nok.bit_count()
+                    if nodes > budget:
+                        raise BudgetExhaustedError(node_budget + 1)
+                    continue
+            break
+        seq[p] = w
+        seq[p + 1] = c  # at position 1, a placeholder that slot 1 overwrites
+        avail = nfree
+        und[d] = m
+        free_left[d] = free
+        ok_left[d] = ok
+        d += 1
+        p = free_pos[d]
+        prev = c
+        free = nfree
+        ok = nok
 
 
 def _verified(dim: int, decimals: tuple[int, ...]) -> TernarySequence:

@@ -46,11 +46,12 @@ class TernarySequence:
     Holding a TernarySequence certifies nothing; run verify() for that.
     Construction only pins the coherent bits: dimension at least 2 and
     every word of that dimension.  The words are stored as their decimal
-    values; .words builds the Word objects on first read.  Instances are
-    immutable, and compare and hash by (dim, decimals).
+    values; .words builds the Word objects on first read, and verify()
+    keeps its report on the instance.  Instances are immutable, and
+    compare, hash and pickle by (dim, decimals) alone.
     """
 
-    __slots__ = ("dim", "decimals", "_words")
+    __slots__ = ("dim", "decimals", "_words", "_report")
     dim: int
     decimals: tuple[int, ...]
 
@@ -67,6 +68,7 @@ class TernarySequence:
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "decimals", decimals)
         object.__setattr__(self, "_words", words)
+        object.__setattr__(self, "_report", None)
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
@@ -125,8 +127,18 @@ def verify(seq: TernarySequence) -> VerificationReport:
     Check order is fixed: length, then zero/duplicate words scanning
     positions upward, then the XOR of each even-centred triple.  A full
     pass means the words are a permutation of the nonzero vectors with
-    every even-position triple summing to zero.
+    every even-position triple summing to zero.  A sequence cannot change,
+    so the report is kept on it and checking the same object again is a
+    lookup.
     """
+    report = seq._report
+    if report is None:
+        report = _check(seq)
+        object.__setattr__(seq, "_report", report)
+    return report
+
+
+def _check(seq: TernarySequence) -> VerificationReport:
     vals = seq.decimals
     expected = (1 << seq.dim) - 1
     actual = len(vals)

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from ternaryperm import catalog
+from ternaryperm import catalog, sequences
 from ternaryperm.catalog import (
     BASE_DIMS,
     BaseCaseStore,
@@ -75,6 +75,20 @@ class TestGenerate:
         assert seq.dim == n
         assert len(seq) == 2**n - 1
         assert verify(seq).valid
+
+    def test_each_sequence_on_the_chain_is_checked_once(self, monkeypatch):
+        real = sequences._check
+        checked = []
+        monkeypatch.setattr(sequences, "_check", lambda s: checked.append(s.dim) or real(s))
+        result = generate(11, store=BaseCaseStore())
+        assert verify(result).valid
+        assert checked == [5, 7, 9, 11]  # the base case, then each lift's output
+
+    def test_lift_still_rejects_an_invalid_input_checked_before(self):
+        bad = TernarySequence.from_decimals(5, range(1, 32))
+        assert not verify(bad).valid
+        with pytest.raises(ValueError, match="not a ternary permutation"):
+            lift(bad)
 
     def test_dim7_is_the_lift_of_dim5(self):
         assert generate(7) == lift(generate(5))

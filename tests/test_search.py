@@ -98,6 +98,19 @@ def random_valid_prefix(rng, dim, length):
     return tuple(prefix)
 
 
+#: Eleven slot values of a dimension-5 solution; the subtree below them
+#: holds 4 solutions in 226 nodes.
+DEEP_DIM5_PREFIX = (1, 2, 4, 8, 5, 16, 6, 18, 17, 9, 29)
+
+
+def budgeted(explore, dim, mode, prefix, budget, orders=None):
+    """explore's result, or the node count its BudgetExhaustedError reports."""
+    try:
+        return explore(dim, mode, prefix, budget, orders)
+    except BudgetExhaustedError as exc:
+        return exc.nodes_explored
+
+
 def shuffled_orders(rng, dim, n_prefix):
     size = (1 << dim) - 1
     return [
@@ -261,15 +274,37 @@ class TestKernelOracle:
                 assert _explore(dim, mode, prefix, orders=orders) == expected
 
     def test_every_budget_stops_where_the_reference_does(self):
-        def outcome(explore, budget):
-            try:
-                return explore(3, SearchMode.COUNT, (), budget)
-            except BudgetExhaustedError as exc:
-                return exc.nodes_explored
-
         for budget in range(1, 554):
             expected = budget + 1 if budget < 553 else (None, 0, 553)
-            assert outcome(_explore, budget) == outcome(reference_explore, budget) == expected
+            outcome = budgeted(_explore, 3, SearchMode.COUNT, (), budget)
+            assert outcome == budgeted(reference_explore, 3, SearchMode.COUNT, (), budget) == expected
+
+    @pytest.mark.parametrize("shuffle", [False, True])
+    def test_every_budget_on_a_subtree_with_solutions(self, shuffle):
+        # Its 226 nodes pass through every way the kernel treats a child
+        # slot: dead ones and solution-free second-to-last ones counted in
+        # place, solvable second-to-last ones and the rest entered.
+        prefix = DEEP_DIM5_PREFIX
+        orders = shuffled_orders(random.Random(17), 5, len(prefix)) if shuffle else None
+        full = reference_explore(5, SearchMode.COUNT, prefix, orders=orders)
+        assert full[1:] == (4, 226)
+        for mode in (SearchMode.FIRST, SearchMode.COUNT):
+            for budget in range(1, full[2] + 1):
+                expected = budgeted(reference_explore, 5, mode, prefix, budget, orders)
+                assert budgeted(_explore, 5, mode, prefix, budget, orders) == expected
+
+    def test_solvable_second_to_last_slots_are_entered(self):
+        # Three open slots left: each child of the first is a second-to-last
+        # slot, so each solution found came through one judged solvable.
+        first, _, _ = reference_explore(5, SearchMode.FIRST, DEEP_DIM5_PREFIX)
+        rng = random.Random(19)
+        for decimals in (BASE5_DECIMALS, first):
+            prefix = tuple(decimals[p - 1] for p in _free_positions(5)[:13])
+            for orders in (None, shuffled_orders(rng, 5, 13), shuffled_orders(rng, 5, 13)):
+                for mode in SearchMode:
+                    expected = reference_explore(5, mode, prefix, orders=orders)
+                    assert _explore(5, mode, prefix, orders=orders) == expected
+                    assert expected[1] > 0
 
 
 class TestBudget:

@@ -5,6 +5,7 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
+from ternaryperm import sequences
 from ternaryperm.sequences import TernarySequence, VerificationReport, verify
 from ternaryperm.words import Word
 
@@ -67,7 +68,7 @@ class TestSequenceType:
         assert s.words == (Word(1, 3), Word(2, 3), Word(3, 3))
         assert s.words is s.words
 
-    @pytest.mark.parametrize("name", ("dim", "decimals", "words", "other"))
+    @pytest.mark.parametrize("name", ("dim", "decimals", "words", "_report", "other"))
     def test_immutable(self, name):
         s = seq(2, (1, 2, 3))
         with pytest.raises(FrozenInstanceError):
@@ -80,6 +81,44 @@ class TestSequenceType:
         s = seq(3, (1, 2, 3, 4, 5, 6, 7))
         assert pickle.loads(pickle.dumps(s)) == s
         assert copy.deepcopy(s) == s
+
+
+@pytest.fixture
+def checks(monkeypatch):
+    """Count verify's full checks: the ones not served from a kept report."""
+    real = sequences._check
+    done = []
+
+    def counted(s):
+        done.append(s)
+        return real(s)
+
+    monkeypatch.setattr(sequences, "_check", counted)
+    return done
+
+
+class TestKeptReport:
+    def test_a_repeat_check_is_a_lookup(self, checks):
+        s = seq(3, (1, 2, 3, 4, 5, 6, 7))
+        report = verify(s)
+        assert verify(s) is report
+        assert not report.valid  # invalid reports are kept too
+        assert checks == [s]
+
+    def test_kept_per_object_not_per_value(self, checks):
+        s, t = seq(2, (1, 3, 2)), seq(2, (1, 3, 2))
+        assert verify(s).valid and verify(t).valid
+        assert checks == [s, t]
+
+    def test_equality_hash_and_pickling_ignore_it(self, checks):
+        s = seq(2, (1, 3, 2))
+        verify(s)
+        fresh = seq(2, (1, 3, 2))
+        assert s == fresh and hash(s) == hash(fresh)
+        for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
+            assert clone == s
+            assert verify(clone).valid
+        assert len(checks) == 3  # s, then each clone: a copy carries no report
 
 
 class TestVerify:
