@@ -9,9 +9,9 @@ with a dedicated error.
 from __future__ import annotations
 
 import os
+import stat
 import threading
 from dataclasses import dataclass
-from datetime import datetime, timezone
 from itertools import repeat
 from pathlib import Path
 from typing import IO, Optional, Union
@@ -64,14 +64,22 @@ def exists(n: int) -> bool:
     return n not in (3, 4)
 
 
+def _base_dim(n: int) -> int:
+    """The base dimension generate(n) starts from; refuses n it does not build."""
+    if not exists(n):  # raises ValueError for n < 2
+        raise NonexistentDimensionError(n)
+    if n > MAX_DIM:
+        raise ValueError(f"dimension must be at most {MAX_DIM}, got {n}")
+    return n if n in BASE_DIMS else (5 if n % 2 else 6)
+
+
 def construction_route(n: int) -> list[str]:
     """How generate(n) is assembled, newest step first.
 
     construction_route(9) == ["lifted-from-7", "lifted-from-5", "base-5"].
+    Refuses the same dimensions as generate, with the same errors.
     """
-    if not exists(n):
-        raise NonexistentDimensionError(n)
-    base = n if n in BASE_DIMS else (5 if n % 2 else 6)
+    base = _base_dim(n)
     steps = [f"lifted-from-{m - 2}" for m in range(n, base, -2)]
     steps.append(f"base-{base}")
     return steps
@@ -87,10 +95,7 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
     machine's physical memory is refused with ValueError up front rather
     than left to run out of memory.
     """
-    if not exists(n):  # raises ValueError for n < 2
-        raise NonexistentDimensionError(n)
-    if n > MAX_DIM:
-        raise ValueError(f"dimension must be at most {MAX_DIM}, got {n}")
+    base = _base_dim(n)
     peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
     memory = _physical_memory()
     if memory is not None and peak > memory:
@@ -100,13 +105,9 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
         )
     if store is None:
         store = default_store()
-    if n in BASE_DIMS:
-        seq = store.get(n)
-    else:
-        base = 5 if n % 2 else 6
-        seq = store.get(base)
-        for _ in range((n - base) // 2):
-            seq = lift(seq)  # each sequence on the chain is checked once: verify keeps its report
+    seq = store.get(base)
+    for _ in range((n - base) // 2):
+        seq = lift(seq)  # each sequence on the chain is checked once: verify keeps its report
     return seq
 
 
@@ -291,13 +292,22 @@ def load(source: Source, fmt: Optional[str] = None) -> LoadResult:
 
     A well-formed file that is not actually ternary still loads; the
     failure lands in the result's report so bad files can be inspected.
+    A path is read as UTF-8; a byte that does not decode is a ParseError
+    for its line.
     """
-    if hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = Path(source).read_text()
+    text = source.read() if hasattr(source, "read") else _read_utf8(source)
     sequence, used_fmt = parse_sequence_text(text, fmt)
     return LoadResult(sequence, used_fmt, verify(sequence))
+
+
+def _read_utf8(path: Union[str, Path]) -> str:
+    """The file's text; its bytes are freed on return, before parsing starts."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
 def save(seq: TernarySequence, destination: Source, fmt: str = "decimal") -> None:
@@ -318,9 +328,20 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
     The text goes to a new temporary file in the same directory, which
     then replaces path in one rename.  If anything fails first, the
     temporary file is removed and a file already at path is left intact,
-    so an interrupted write never leaves a truncated file behind.
+    so an interrupted write never leaves a truncated file behind.  A
+    symlink is followed, so the rename replaces its target.  An existing
+    target that is not a regular file, such as a FIFO or a device, is
+    written in place: replacing it would cut off whoever reads from it.
     """
-    path = Path(path)
+    path = Path(os.path.realpath(path))
+    try:
+        regular = stat.S_ISREG(path.stat().st_mode)
+    except FileNotFoundError:
+        regular = True  # a new file
+    if not regular:
+        with open(path, "w") as handle:
+            handle.write(text)
+        return
     tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
     handle = open(tmp, "x")
     try:
@@ -339,7 +360,6 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
 class BaseCaseEntry:
     sequence: TernarySequence
     source: str  # "built-in" | "fixture" | "searched"
-    verified_at: datetime
 
 
 class BaseCaseStore:
@@ -409,7 +429,7 @@ class BaseCaseStore:
             report = verify(seq)
             if not report.valid:
                 raise RuntimeError(f"base case for dimension {dim} is invalid: {report.failure}")
-            entry = BaseCaseEntry(seq, source, datetime.now(timezone.utc))
+            entry = BaseCaseEntry(seq, source)
             self._entries[dim] = entry
             return entry
 

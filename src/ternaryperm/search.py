@@ -25,6 +25,11 @@ MAX_SEARCH_DIM = 6
 #: Applied in first mode at dimensions 5 and 6 when no budget is given.
 DEFAULT_FIRST_MODE_BUDGET = 10**9
 
+#: search_randomized's tuning: reduced tree, shuffle attempts, node budget per attempt.
+_REDUCE = True
+_ATTEMPTS = 64
+_ATTEMPT_BUDGET = 2_000_000
+
 
 class SearchMode(Enum):
     FIRST = "first"
@@ -315,13 +320,23 @@ def _explore(
         ok = nok
 
 
-def _verified(dim: int, decimals: tuple[int, ...]) -> TernarySequence:
-    """The sequence a search found, verified; a failure is a kernel regression."""
-    sequence = TernarySequence.from_decimals(dim, decimals)
-    report = verify(sequence)
-    if not report.valid:
-        raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
-    return sequence
+def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: int) -> SearchOutcome:
+    """A run's result, with only config.mode's field set and a found sequence verified."""
+    sequence = None
+    if config.mode is SearchMode.FIRST and first is not None:
+        sequence = TernarySequence.from_decimals(config.dim, first)
+        report = verify(sequence)
+        if not report.valid:
+            raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
+    return SearchOutcome(
+        dim=config.dim,
+        mode=config.mode,
+        symmetry_reduction=config.symmetry_reduction,
+        nodes_explored=nodes,
+        sequence=sequence,
+        count=count if config.mode is SearchMode.COUNT else None,
+        nonexistent=count == 0 if config.mode is SearchMode.PROVE_NONE else None,
+    )
 
 
 def search(config: SearchConfig) -> SearchOutcome:
@@ -337,27 +352,7 @@ def search(config: SearchConfig) -> SearchOutcome:
     budget = config.node_budget
     if budget is None and config.mode is SearchMode.FIRST and config.dim >= 5:
         budget = DEFAULT_FIRST_MODE_BUDGET
-    first, count, nodes = _explore(config.dim, config.mode, prefix, budget)
-
-    sequence = None
-    out_count = None
-    nonexistent = None
-    if config.mode is SearchMode.FIRST:
-        if first is not None:
-            sequence = _verified(config.dim, first)
-    elif config.mode is SearchMode.COUNT:
-        out_count = count
-    else:
-        nonexistent = count == 0
-    return SearchOutcome(
-        dim=config.dim,
-        mode=config.mode,
-        symmetry_reduction=config.symmetry_reduction,
-        nodes_explored=nodes,
-        sequence=sequence,
-        count=out_count,
-        nonexistent=nonexistent,
-    )
+    return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
 
 
 def _subtree_task(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, int]:
@@ -400,23 +395,10 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     count = sum(c for c, _ in results)
     # each split candidate is itself one attempted assignment
     nodes = len(tasks) + sum(n for _, n in results)
-    return SearchOutcome(
-        dim=config.dim,
-        mode=config.mode,
-        symmetry_reduction=config.symmetry_reduction,
-        nodes_explored=nodes,
-        count=count if config.mode is SearchMode.COUNT else None,
-        nonexistent=(count == 0) if config.mode is SearchMode.PROVE_NONE else None,
-    )
+    return _outcome(config, None, count, nodes)
 
 
-def search_randomized(
-    dim: int,
-    seed: int = 0,
-    symmetry_reduction: bool = True,
-    attempts: int = 64,
-    attempt_budget: int = 2_000_000,
-) -> SearchOutcome:
+def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     """Find some ternary permutation quickly via seeded random candidate order.
 
     Ascending order pays for its smallest-solution guarantee: at dimension
@@ -425,34 +407,25 @@ def search_randomized(
     reaching it).  Solutions themselves are plentiful, so visiting
     candidates in a seeded shuffled order finds one within a few hundred
     thousand nodes.  Deterministic for a fixed seed: attempt i shuffles
-    with seed + i, so reruns are bit-identical.  Raises
+    with seed + i, so reruns are bit-identical.  An attempt that finishes
+    its tree proves the answer, which does not depend on the order: at
+    dimensions 3 and 4 the outcome has sequence None.  Raises
     BudgetExhaustedError only after every attempt runs out.
     """
-    if not 2 <= dim <= MAX_SEARCH_DIM:
-        raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
-    if attempts < 1 or attempt_budget < 1:
-        raise ValueError("attempts and attempt_budget must be positive")
-    prefix = _reduction_prefix(dim, symmetry_reduction)
+    config = SearchConfig(dim, symmetry_reduction=_REDUCE, node_budget=_ATTEMPT_BUDGET)
+    prefix = _reduction_prefix(dim, config.symmetry_reduction)
     size = (1 << dim) - 1
     n_open = len(_free_positions(dim)) - len(prefix)
     total_nodes = 0
-    for attempt in range(attempts):
+    for attempt in range(_ATTEMPTS):
         rng = random.Random(seed + attempt)
         orders = [rng.sample(range(1, size + 1), size) for _ in range(n_open)]
         try:
-            first, _, nodes = _explore(dim, SearchMode.FIRST, prefix, attempt_budget, orders)
+            first, count, nodes = _explore(dim, config.mode, prefix, config.node_budget, orders)
         except BudgetExhaustedError as exc:
             total_nodes += exc.nodes_explored
             continue
-        total_nodes += nodes
-        if first is not None:
-            return SearchOutcome(
-                dim=dim,
-                mode=SearchMode.FIRST,
-                symmetry_reduction=symmetry_reduction,
-                nodes_explored=total_nodes,
-                sequence=_verified(dim, first),
-            )
+        return _outcome(config, first, count, total_nodes + nodes)
     raise BudgetExhaustedError(total_nodes)
 
 

@@ -1,5 +1,8 @@
 import io
+import os
 import random
+import stat
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -125,6 +128,12 @@ class TestRoute:
         with pytest.raises(NonexistentDimensionError):
             construction_route(4)
 
+    @pytest.mark.parametrize("n", (31, 20000))
+    def test_refuses_what_generate_refuses(self, n):
+        for build in (construction_route, generate):
+            with pytest.raises(ValueError, match="dimension must be at most 30"):
+                build(n)
+
 
 class TestFormats:
     def test_decimal_layout(self):
@@ -176,6 +185,29 @@ class TestFormats:
             save(generate(5), target)
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
+
+    def test_save_writes_into_a_fifo_in_place(self, tmp_path):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        save(generate(5), fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [format_sequence(generate(5))]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+    def test_save_through_a_symlink_replaces_its_target(self, tmp_path):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        link = tmp_path / "link"
+        link.symlink_to(target.name)
+        save(generate(5), link)
+        assert link.is_symlink()
+        assert target.read_text() == format_sequence(generate(5))
+        assert sorted(tmp_path.iterdir()) == [link, target]
 
     def test_save_refuses_invalid_sequences(self, tmp_path):
         bad = TernarySequence.from_decimals(3, range(1, 8))
@@ -357,7 +389,6 @@ class TestBaseCaseStore:
         entry = store.entry(2)
         assert entry.source == "built-in"
         assert entry.sequence.decimals == (1, 2, 3)
-        assert entry.verified_at is not None
 
     def test_only_base_dims_are_stored(self):
         store = BaseCaseStore()

@@ -49,6 +49,15 @@ class TestGen:
         assert out == ""
         assert target.read_text() == format_sequence(generate(5))
 
+    def test_out_through_a_dangling_symlink_creates_its_target(self, capsys, tmp_path):
+        target = tmp_path / "seq.txt"
+        link = tmp_path / "link"
+        link.symlink_to(target)
+        code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(link))
+        assert code == EXIT_OK
+        assert link.is_symlink()
+        assert target.read_text() == format_sequence(generate(5))
+
     def test_failed_write_keeps_the_old_file(self, capsys, tmp_path, writes_fail_midway):
         target = tmp_path / "seq.txt"
         target.write_text("old\n")
@@ -133,6 +142,14 @@ class TestVerify:
         code, out, err = run(capsys, "verify", str(path))
         assert code == EXIT_OK
         assert out == "valid\n"
+
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, capsys, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"n=2\n1 2 \xff\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert "line 2: byte 0xff is not UTF-8 text" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
@@ -255,6 +272,14 @@ class TestInfo:
         code, out, _ = run(capsys, "info", "--dim", "6")
         assert "route=base-6" in out
         assert code == EXIT_OK
+
+    @pytest.mark.parametrize("dim", ("31", "20000"))
+    def test_refuses_the_dimensions_gen_refuses(self, capsys, dim):
+        for command in ("info", "gen"):
+            code, out, err = run(capsys, command, "--dim", dim)
+            assert code == EXIT_INVALID_INPUT
+            assert out == ""
+            assert f"dimension must be at most 30, got {dim}" in err
 
 
 @pytest.mark.parametrize("dim", (2, 5, 6, 7, 8, 9, 10, 11, 12))

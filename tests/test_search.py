@@ -1,3 +1,4 @@
+import importlib
 import random
 
 import pytest
@@ -363,11 +364,35 @@ class TestRandomizedDiscovery:
         outcome = search_randomized(2, seed=0)
         assert outcome.sequence.decimals == (1, 2, 3)
 
-    def test_all_attempts_exhausted_raises(self):
+    def test_all_attempts_exhausted_raises(self, monkeypatch):
+        # the package re-exports the function search over the submodule's name
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_ATTEMPTS", 2)
+        monkeypatch.setattr(module, "_ATTEMPT_BUDGET", 5)
         with pytest.raises(BudgetExhaustedError) as err:
-            search_randomized(3, seed=0, attempts=2, attempt_budget=5)
+            search_randomized(3, seed=0)
         # each attempt stops on its sixth node, one past its budget of five
         assert err.value.nodes_explored == 12
+
+    @pytest.mark.parametrize("dim,nodes", [(3, 12), (4, 9348)])
+    def test_one_finished_attempt_settles_nonexistence(self, dim, nodes):
+        # the reduced prove-none tree, walked once rather than once per attempt
+        outcome = search_randomized(dim, seed=0)
+        assert outcome.sequence is None
+        assert outcome.nodes_explored == nodes
+
+    def test_nodes_of_exhausted_attempts_add_to_the_finished_one(self, monkeypatch):
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_ATTEMPT_BUDGET", 1000)
+        # at dimension 5 the shuffle of seed 1 needs 1,415 nodes, that of seed 2 needs 975
+        outcome = search_randomized(5, seed=1)
+        assert verify(outcome.sequence).valid
+        assert outcome.nodes_explored == 1001 + 975
+
+    def test_dimension_is_checked_by_search_config(self):
+        for dim in (1, MAX_SEARCH_DIM + 1):
+            with pytest.raises(ValueError, match=rf"search dimension must be in \[2, {MAX_SEARCH_DIM}\]"):
+                search_randomized(dim)
 
 
 class TestImpossibility:
