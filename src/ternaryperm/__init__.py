@@ -8,107 +8,15 @@ searches for them exhaustively, and proves the two impossible cases.
 """
 
 from ._version import VERSION as __version__
-from .catalog import (
-    BASE_DIMS,
-    BaseCaseEntry,
-    BaseCaseStore,
-    LoadResult,
-    NonexistentDimensionError,
-    ParseError,
-    construction_route,
-    default_store,
-    exists,
-    format_sequence,
-    generate,
-    load,
-    parse_sequence_text,
-    save,
-)
-from .lifting import (
-    LiftLayoutEntry,
-    ModifierKind,
-    check_modifier_properties,
-    lift,
-    lift_layout,
-    modifier,
-)
-from .search import (
-    MAX_SEARCH_DIM,
-    BudgetExhaustedError,
-    ImpossibilityCertificate,
-    SearchConfig,
-    SearchMode,
-    SearchOutcome,
-    canonical_prefix,
-    lemma_n3,
-    naive_count,
-    prove_impossibility,
-    search,
-    search_parallel,
-    search_randomized,
-)
-from .sequences import (
-    TernarySequence,
-    VerificationFailure,
-    VerificationReport,
-    verify,
-)
-from .words import (
-    MAX_DIM,
-    Word,
-    concat,
-    nonzero_words,
-    parse_word,
-    total_xor,
-    word_add,
-    zero,
-)
+from .catalog import *
+from .catalog import __all__ as _catalog
+from .lifting import *
+from .lifting import __all__ as _lifting
+from .search import *
+from .search import __all__ as _search
+from .sequences import *
+from .sequences import __all__ as _sequences
+from .words import *
+from .words import __all__ as _words
 
-__all__ = [
-    "__version__",
-    "MAX_DIM",
-    "MAX_SEARCH_DIM",
-    "BASE_DIMS",
-    "Word",
-    "word_add",
-    "concat",
-    "total_xor",
-    "zero",
-    "parse_word",
-    "nonzero_words",
-    "TernarySequence",
-    "VerificationFailure",
-    "VerificationReport",
-    "verify",
-    "ModifierKind",
-    "LiftLayoutEntry",
-    "modifier",
-    "lift_layout",
-    "lift",
-    "check_modifier_properties",
-    "SearchConfig",
-    "SearchOutcome",
-    "SearchMode",
-    "BudgetExhaustedError",
-    "ImpossibilityCertificate",
-    "search",
-    "search_parallel",
-    "search_randomized",
-    "canonical_prefix",
-    "naive_count",
-    "lemma_n3",
-    "prove_impossibility",
-    "exists",
-    "generate",
-    "construction_route",
-    "save",
-    "load",
-    "parse_sequence_text",
-    "format_sequence",
-    "LoadResult",
-    "ParseError",
-    "NonexistentDimensionError",
-    "BaseCaseStore",
-    "BaseCaseEntry",
-    "default_store",
-]
+__all__ = ["__version__", *_catalog, *_lifting, *_search, *_sequences, *_words]

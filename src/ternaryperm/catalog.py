@@ -8,6 +8,12 @@ with a dedicated error.
 
 from __future__ import annotations
 
+__all__ = [
+    "BASE_DIMS", "BaseCaseEntry", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
+    "ParseError", "construction_route", "default_store", "exists", "format_sequence", "generate",
+    "load", "parse_sequence_text", "save",
+]
+
 import os
 import stat
 import threading
@@ -65,11 +71,21 @@ def exists(n: int) -> bool:
 
 
 def _base_dim(n: int) -> int:
-    """The base dimension generate(n) starts from; refuses n it does not build."""
+    """The base dimension generate(n) starts from; refuses n it does not build.
+
+    That includes an n whose estimated peak memory exceeds physical memory.
+    """
     if not exists(n):  # raises ValueError for n < 2
         raise NonexistentDimensionError(n)
     if n > MAX_DIM:
         raise ValueError(f"dimension must be at most {MAX_DIM}, got {n}")
+    peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
+    memory = _physical_memory()
+    if memory is not None and peak > memory:
+        raise ValueError(
+            f"n={n} needs about {peak / 1e6:,.0f} MB at its peak, more than "
+            f"the {memory / 1e6:,.0f} MB of physical memory here"
+        )
     return n if n in BASE_DIMS else (5 if n % 2 else 6)
 
 
@@ -96,13 +112,6 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
     than left to run out of memory.
     """
     base = _base_dim(n)
-    peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
-    memory = _physical_memory()
-    if memory is not None and peak > memory:
-        raise ValueError(
-            f"n={n} needs about {peak / 1e6:,.0f} MB at its peak, more than "
-            f"the {memory / 1e6:,.0f} MB of physical memory here"
-        )
     if store is None:
         store = default_store()
     seq = store.get(base)
@@ -328,17 +337,20 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
     The text goes to a new temporary file in the same directory, which
     then replaces path in one rename.  If anything fails first, the
     temporary file is removed and a file already at path is left intact,
-    so an interrupted write never leaves a truncated file behind.  A
-    symlink is followed, so the rename replaces its target.  An existing
-    target that is not a regular file, such as a FIFO or a device, is
-    written in place: replacing it would cut off whoever reads from it.
+    so an interrupted write never leaves a truncated file behind.  The
+    replacement keeps the mode bits of the file it replaces, and its
+    owner and group where the process may set them; a new file gets the
+    umask default.  A symlink is followed, so the rename replaces its
+    target.  An existing target that is not a regular file, such as a
+    FIFO or a device, is written in place: replacing it would cut off
+    whoever reads from it.
     """
     path = Path(os.path.realpath(path))
     try:
-        regular = stat.S_ISREG(path.stat().st_mode)
+        old = path.stat()
     except FileNotFoundError:
-        regular = True  # a new file
-    if not regular:
+        old = None  # a new file
+    if old is not None and not stat.S_ISREG(old.st_mode):
         with open(path, "w") as handle:
             handle.write(text)
         return
@@ -346,6 +358,12 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
     handle = open(tmp, "x")
     try:
         with handle:
+            if old is not None:
+                try:  # before the mode: a change of owner can clear set-id bits
+                    os.chown(tmp, old.st_uid, old.st_gid)
+                except PermissionError:
+                    pass
+                os.chmod(tmp, stat.S_IMODE(old.st_mode))
             handle.write(text)
         os.replace(tmp, path)
     except BaseException:

@@ -9,6 +9,11 @@ output position, so tests can check the arithmetic against it.
 
 from __future__ import annotations
 
+__all__ = [
+    "LiftLayoutEntry", "ModifierKind", "check_modifier_properties", "lift", "lift_layout",
+    "modifier",
+]
+
 from dataclasses import dataclass
 from enum import Enum
 from itertools import cycle

@@ -8,6 +8,12 @@ search branches only there and fills each forced follower immediately.
 
 from __future__ import annotations
 
+__all__ = [
+    "MAX_SEARCH_DIM", "BudgetExhaustedError", "ImpossibilityCertificate", "SearchConfig",
+    "SearchMode", "SearchOutcome", "canonical_prefix", "lemma_n3", "naive_count",
+    "prove_impossibility", "search", "search_parallel", "search_randomized",
+]
+
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -212,7 +218,9 @@ def _explore(
     in place holds no solution and would be traversed in full, so its
     nodes do not depend on the order, and the count, the nodes and the
     first solution are the ones a slot by slot scan gives.  The budget is
-    checked after each of these bulk adds as after every other one.
+    not checked after these two adds: nodes only grow, and the next add,
+    which comes before any solution is recorded or any result returned,
+    is checked and raises the same error.
     """
     size = (1 << dim) - 1
     free_pos = _free_positions(dim)
@@ -294,8 +302,6 @@ def _explore(
             nok = nfree & t
             if not nok:  # dead: every free word there is tried and collides
                 nodes += nfree.bit_count()
-                if nodes > budget:
-                    raise BudgetExhaustedError(node_budget + 1)
                 continue
             if d + 1 == pen:  # four words left there
                 rest = nfree ^ nok
@@ -303,8 +309,6 @@ def _explore(
                 x = ((rest & -rest).bit_length() - 1) ^ (rest.bit_length() - 1)
                 if nok.bit_count() != 2 or not nok >> x & 1:  # holds no solution
                     nodes += nfree.bit_count() + 2 * nok.bit_count()
-                    if nodes > budget:
-                        raise BudgetExhaustedError(node_budget + 1)
                     continue
             break
         seq[p] = w

@@ -7,15 +7,14 @@ zero.  Positions are 1-based in reports and messages, 0-based in storage.
 
 from __future__ import annotations
 
+__all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "verify"]
+
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress, count
 from operator import xor
 from typing import Iterable, Iterator, Optional
 
 from .words import MAX_DIM, Word
-
-#: Failure kinds, in the order verify() checks them.
-FAILURE_KINDS = ("length", "zero-word", "duplicate", "triple-sum")
 
 
 @dataclass(frozen=True)
@@ -63,8 +62,11 @@ class TernarySequence:
                 raise ValueError(f"word at position {pos} has dimension {w.dim}, expected {dim}")
 
     def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
+        """Fill a new instance; every constructor passes here, so the dimension is checked here."""
         if dim < 2:
             raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
+        if dim > MAX_DIM:
+            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "decimals", decimals)
         object.__setattr__(self, "_words", words)
@@ -72,18 +74,16 @@ class TernarySequence:
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
-        values = tuple(values)
-        if values:
-            if not 1 <= dim <= MAX_DIM:
-                raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
-            for bad in (min(values), max(values)):
+        seq = cls._trusted(dim, tuple(values))
+        if seq.decimals:
+            for bad in (min(seq.decimals), max(seq.decimals)):
                 if not 0 <= bad < (1 << dim):
                     raise ValueError(f"bits {bad} out of range for dimension {dim}")
-        return cls._trusted(dim, values)
+        return seq
 
     @classmethod
     def _trusted(cls, dim: int, decimals: tuple[int, ...]) -> "TernarySequence":
-        """An instance over values already known to fit the dimension."""
+        """An instance over the values as given; only the dimension is checked."""
         seq = cls.__new__(cls)
         seq._set(dim, decimals, None)
         return seq

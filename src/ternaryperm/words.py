@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+__all__ = [
+    "MAX_DIM", "Word", "concat", "nonzero_words", "parse_word", "total_xor", "word_add", "zero",
+]
+
 from dataclasses import dataclass
 from typing import Iterator
 

@@ -209,6 +209,31 @@ class TestFormats:
         assert target.read_text() == format_sequence(generate(5))
         assert sorted(tmp_path.iterdir()) == [link, target]
 
+    @pytest.mark.parametrize("mode", (0o600, 0o640), ids=oct)
+    def test_save_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        target.chmod(mode)
+        save(generate(5), target)
+        assert stat.S_IMODE(target.stat().st_mode) == mode
+        assert target.read_text() == format_sequence(generate(5))
+
+    def test_save_to_a_new_file_gets_the_umask_default(self, tmp_path):
+        mask = os.umask(0o027)
+        try:
+            save(generate(5), tmp_path / "new.txt")
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE((tmp_path / "new.txt").stat().st_mode) == 0o640
+
+    @pytest.mark.skipif(os.geteuid() != 0, reason="only root may give a file away")
+    def test_save_keeps_the_owner_of_the_file_it_replaces(self, tmp_path):
+        target = tmp_path / "seq.txt"
+        target.write_text("old\n")
+        os.chown(target, 12345, 23456)
+        save(generate(5), target)
+        assert (target.stat().st_uid, target.stat().st_gid) == (12345, 23456)
+
     def test_save_refuses_invalid_sequences(self, tmp_path):
         bad = TernarySequence.from_decimals(3, range(1, 8))
         with pytest.raises(ValueError, match="refusing to save"):

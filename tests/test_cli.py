@@ -1,3 +1,5 @@
+import stat
+
 import pytest
 
 from ternaryperm import catalog
@@ -47,6 +49,16 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(target))
         assert code == EXIT_OK
         assert out == ""
+        assert target.read_text() == format_sequence(generate(5))
+
+    @pytest.mark.parametrize("mode", (0o600, 0o640), ids=oct)
+    def test_out_keeps_the_mode_of_the_file_it_replaces(self, capsys, tmp_path, mode):
+        target = tmp_path / "priv.txt"
+        target.write_text("old\n")
+        target.chmod(mode)
+        code, _, _ = run(capsys, "gen", "--dim", "5", "--out", str(target))
+        assert code == EXIT_OK
+        assert stat.S_IMODE(target.stat().st_mode) == mode
         assert target.read_text() == format_sequence(generate(5))
 
     def test_out_through_a_dangling_symlink_creates_its_target(self, capsys, tmp_path):
@@ -272,6 +284,18 @@ class TestInfo:
         code, out, _ = run(capsys, "info", "--dim", "6")
         assert "route=base-6" in out
         assert code == EXIT_OK
+
+    def test_refuses_a_dim_beyond_physical_memory_as_gen_does(self, capsys, monkeypatch):
+        monkeypatch.setattr(catalog, "_physical_memory", lambda: 10**6)
+        message = "n=20 needs about 189 MB at its peak, more than the 1 MB of physical memory"
+        for command in ("info", "gen"):
+            code, out, err = run(capsys, command, "--dim", "20")
+            assert code == EXIT_INVALID_INPUT
+            assert out == ""
+            assert message in err
+        code, out, _ = run(capsys, "info", "--dim", "3")
+        assert code == EXIT_OK
+        assert "exists=false" in out
 
     @pytest.mark.parametrize("dim", ("31", "20000"))
     def test_refuses_the_dimensions_gen_refuses(self, capsys, dim):

@@ -33,6 +33,23 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             TernarySequence(3, (Word(1, 3), Word(1, 2)))
 
+    @pytest.mark.parametrize("dim", (31, 40))
+    def test_empty_sequences_refuse_dimensions_past_the_cap(self, dim):
+        for build in (TernarySequence, TernarySequence.from_decimals):
+            with pytest.raises(ValueError, match=f"dimension must be in \\[1, 30\\], got {dim}"):
+                build(dim, ())
+        assert seq(30, ()).dim == 30
+
+    def test_nonempty_input_keeps_its_messages(self):
+        with pytest.raises(ValueError, match=r"dimension must be in \[1, 30\], got 40"):
+            seq(40, (1, 2, 3))
+        with pytest.raises(ValueError, match="bits 4 out of range for dimension 2"):
+            seq(2, (1, 2, 4))
+        with pytest.raises(ValueError, match="word at position 2 has dimension 2, expected 3"):
+            TernarySequence(3, (Word(1, 3), Word(1, 2)))
+        with pytest.raises(ValueError, match="sequences are defined for dimension >= 2, got 1"):
+            TernarySequence(1, (Word(1, 1),))
+
     def test_words_coerced_to_tuple(self):
         s = TernarySequence(2, [Word(1, 2), Word(2, 2)])
         assert isinstance(s.words, tuple)
