@@ -18,13 +18,12 @@ import os
 import stat
 import threading
 from dataclasses import dataclass
-from itertools import repeat
 from pathlib import Path
 from typing import IO, Optional, Union
 
 from .lifting import lift
 from .search import SearchConfig, SearchMode, search, search_randomized
-from .sequences import TernarySequence, VerificationReport, verify
+from .sequences import TernarySequence, VerificationReport, le_bytes, le_values, verify
 from .words import MAX_DIM
 
 BASE_DIMS = (2, 5, 6)
@@ -34,11 +33,13 @@ FORMATS = ("decimal", "binary")
 #: The unique-up-to-symmetry starting point: 1 XOR 2 XOR 3 = 0.
 _BASE_2 = (1, 2, 3)
 
-#: Peak memory of `gen --dim n` per word of the sequence, about 180 bytes:
-#: the growth of peak RSS from n = 16 to n = 18 over the 196,608 words
-#: added, 179 B/word with --format binary and 164 B/word with decimal
-#: (CPython 3.11, 64-bit Linux; 18 -> 20 gives 181 and 137).
-GEN_BYTES_PER_WORD = 180
+#: Peak memory of `gen --dim n` per word of the sequence, about 135 bytes:
+#: the growth of peak RSS per word added, measured from n = 16 to 18 and
+#: from 18 to 20 with `gen --out` started from a small parent process.
+#: --format binary gives 122 and 125 B/word, decimal 130 and 133 B/word
+#: (CPython 3.11, 64-bit Linux).  On 8.4 GB of physical memory this
+#: still refuses n >= 26.
+GEN_BYTES_PER_WORD = 135
 
 
 class NonexistentDimensionError(Exception):
@@ -131,6 +132,14 @@ def _physical_memory() -> Optional[int]:
 # ---------------------------------------------------------------------------
 # text formats
 
+#: Binary text is read and written one bit column at a time, over the
+#: values' little-endian bytes: _DIGITS[b] maps a byte to b"1" where its
+#: bit b is set and to b"0" elsewhere, and _BITS[b] maps b"1" to a byte
+#: with only bit b set and b"0" to zero.
+_DIGITS = tuple((b"0" * (1 << b) + b"1" * (1 << b)) * (128 >> b) for b in range(8))
+_BITS = tuple(bytes.maketrans(b"01", bytes((0, 1 << b))) for b in range(8))
+
+
 def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     """Render a sequence as header line n=<dim> plus a body.
 
@@ -140,18 +149,52 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     if fmt == "decimal":
         return f"n={seq.dim}\n" + " ".join(map(str, seq.decimals)) + "\n"
     if fmt == "binary":
-        return f"n={seq.dim}\n" + "\n".join(map(format, seq.decimals, repeat(f"0{seq.dim}b"))) + "\n"
+        return _format_binary(seq)
     raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+
+
+def _format_binary(seq: TernarySequence) -> str:
+    """The binary text, built column by column in one buffer of newlines."""
+    dim, count = seq.dim, len(seq.decimals)
+    header = f"n={dim}\n"
+    if not count:
+        return header + "\n"
+    raw = le_bytes(seq.decimals)
+    start, width = len(header), dim + 1
+    text = bytearray(b"\n") * (start + count * width)
+    text[:start] = header.encode()
+    for col in range(dim):
+        bit = dim - 1 - col  # the leftmost column is the most significant bit
+        text[start + col :: width] = raw[bit >> 3 :: 4].translate(_DIGITS[bit & 7])
+    return text.decode("ascii")
+
+
+def _read_binary_columns(data: bytes, dim: int, count: int) -> Optional[tuple[int, ...]]:
+    """The values of a canonical binary body, or None when data is not one.
+
+    Canonical means exactly count lines, each of dim 0/1 characters ending
+    in a newline, as format_sequence writes them.  Each bit column becomes
+    one int, ORed into the int of its byte plane; the four planes are then
+    interleaved into the values' little-endian bytes.
+    """
+    width = dim + 1
+    newlines = b"\n" * count
+    if len(data) != count * width or data.translate(None, b"01") != newlines or data[dim::width] != newlines:
+        return None
+    planes = [0, 0, 0, 0]  # byte b of every value, as one int per b
+    for col in range(dim):
+        bit = dim - 1 - col
+        planes[bit >> 3] |= int.from_bytes(data[col::width].translate(_BITS[bit & 7]), "little")
+    raw = bytearray(4 * count)
+    for b, plane in enumerate(planes):
+        if plane:
+            raw[b::4] = plane.to_bytes(count, "little")
+    return tuple(le_values(raw))
 
 
 def _is_ascii_digits(text: str) -> bool:
     """str.isdigit() also accepts digits like '³' that int() then rejects."""
     return text.isascii() and text.isdigit()
-
-
-def _only(text: str, allowed: bytes) -> bool:
-    """Whether text consists of the given ASCII characters alone."""
-    return text.isascii() and not text.encode().translate(None, allowed)
 
 
 def _small_int(digits: str, bound: int) -> Optional[int]:
@@ -206,11 +249,13 @@ def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySe
 def _parse_bulk(text: str, fmt: Optional[str]) -> Optional[tuple[TernarySequence, str]]:
     """Whole-body parse of a well-formed file; None when the file needs the line scan.
 
-    The body must hold only the format's own characters (digits, spaces
-    and newlines, or 0, 1 and newlines), the right number of tokens, and
-    values in range.  Anything else returns None, leaving _parse_lines to
-    parse it or to report the offending line.  When this returns a
-    result, _parse_lines would return the same one.
+    A binary body must be canonical (see _read_binary_columns) and hold
+    no zero word.  A decimal body must hold only digits, spaces and
+    newlines, the right number of tokens, and values in range.  Anything
+    else returns None, leaving _parse_lines to parse it or to report the
+    offending line.  When this returns a result, _parse_lines would
+    return the same one.  The values are range-checked here, so the
+    sequence is built without a second check.
     """
     if fmt is not None and fmt not in FORMATS:
         return None
@@ -218,34 +263,47 @@ def _parse_bulk(text: str, fmt: Optional[str]) -> Optional[tuple[TernarySequence
     if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
         return None
     dim = _small_int(header[2:], MAX_DIM)
-    if dim is None or not 2 <= dim <= MAX_DIM:
+    if dim is None or not 2 <= dim <= MAX_DIM or not body.isascii():
         return None
     expected = (1 << dim) - 1
+    data = body.encode()
+    if fmt != "decimal":
+        # Every line of a canonical body is a dim-length 0/1 string, so
+        # format detection reads it as binary too.
+        values = _read_binary_columns(data, dim, expected)
+        if values is not None:  # a zero word's line is _parse_lines' to report
+            return None if 0 in values else (TernarySequence._trusted(dim, values), "binary")
+        if fmt == "binary":
+            return None
     tokens = body.split()
     if len(tokens) != expected:
         return None
-    # A body of 0/1 lines starts with tokens[0]; one that does not read
-    # as binary there has no binary-looking first line either.
-    binary = fmt == "binary" or (fmt is None and _is_binary_word(tokens[0], dim))
-    if binary:
-        if set(map(len, tokens)) != {dim} or not _only(body, b"01\n"):
-            return None
-        values = list(map(int, tokens, repeat(2)))
-    else:
-        if not _only(body, b"0123456789 \n"):
-            return None
-        try:
-            values = list(map(int, tokens))
-        except ValueError:  # digit strings past int()'s length limit
-            return None
+    # Detection may read a body whose first token is a 0/1 word as
+    # binary (when the word is alone on its line); the line scan decides.
+    if fmt is None and _is_binary_word(tokens[0], dim):
+        return None
+    if data.translate(None, b"0123456789 \n"):
+        return None
+    try:
+        values = tuple(map(int, tokens))
+    except ValueError:  # digit strings past int()'s length limit
+        return None
     if min(values) < 1 or max(values) > expected:
         return None
-    return TernarySequence.from_decimals(dim, values), "binary" if binary else "decimal"
+    return TernarySequence._trusted(dim, values), "decimal"
 
 
 def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
-    """Line-by-line parse of any input; raises ParseError at the first bad line."""
-    lines = text.splitlines()
+    """Line-by-line parse of any input; raises ParseError at the first bad line.
+
+    Lines end at a newline alone, as grep -n counts them, not at the other
+    breaks str.splitlines() knows; a final newline starts no line.  A
+    carriage return before the newline is stripped with the rest of the
+    surrounding whitespace.
+    """
+    lines = text.split("\n")
+    if lines[-1] == "":
+        lines.pop()
     dim = _parse_header(lines)
     expected = (1 << dim) - 1
     body = [(no, line.strip()) for no, line in enumerate(lines[1:], start=2) if line.strip()]

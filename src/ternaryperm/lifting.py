@@ -2,9 +2,10 @@
 
 Each source word reappears four times in the output, tagged with one of
 four periodic two-bit suffixes; three fixed splice words stitch the four
-blocks together.  lift() builds the blocks with slice arithmetic on the
-decimal values; lift_layout() spells out the same placement one row per
-output position, so tests can check the arithmetic against it.
+blocks together.  lift() tags each family with one big-int OR over the
+source values packed in 32-bit lanes and builds the blocks with slices;
+lift_layout() spells out the same placement one row per output position,
+so tests can check the arithmetic against it.
 """
 
 from __future__ import annotations
@@ -14,13 +15,12 @@ __all__ = [
     "modifier",
 ]
 
+from array import array
 from dataclasses import dataclass
 from enum import Enum
-from itertools import cycle
-from operator import or_
 from typing import Optional
 
-from .sequences import TernarySequence, verify
+from .sequences import TernarySequence, lanes, unlanes, verify
 from .words import Word
 
 
@@ -170,20 +170,22 @@ def lift(seq: TernarySequence) -> TernarySequence:
     if not report.valid:
         raise ValueError(f"input is not a ternary permutation: {report.failure}")
     k = len(seq.decimals)
-    shifted = [v << 2 for v in seq.decimals]
+    shifted = lanes(array("I", seq.decimals)) << 2
     # a, b, c, d[j] is source index j + 1 tagged with that family; the
-    # tag cycle starts at index 1.
+    # tag cycle starts at index 1.  Each family is one OR over all k
+    # lanes; n + 2 <= MAX_DIM keeps every tagged value inside its lane.
     a, b, c, d = (
-        list(map(or_, shifted, cycle(row[1:] + row[:1]))) for row in TAGS.values()
+        unlanes(shifted | lanes((array("I", row[1:] + row[:1]) * (k // 4 + 1))[:k]), k)
+        for row in TAGS.values()
     )
     out = a[::-1]
     out.append(SPLICE_FIRST.bits)
     out += b[: k - 2]
-    out += (b[k - 1], b[k - 2], SPLICE_SECOND.bits, c[k - 2], c[k - 1])
+    out.extend((b[k - 1], b[k - 2], SPLICE_SECOND.bits, c[k - 2], c[k - 1]))
     out += c[k - 3 : 1 : -1]
-    out += (c[0], c[1], SPLICE_THIRD.bits, d[1], d[0])
+    out.extend((c[0], c[1], SPLICE_THIRD.bits, d[1], d[0]))
     out += d[2:]
-    result = TernarySequence.from_decimals(seq.dim + 2, out)
+    result = TernarySequence._trusted(seq.dim + 2, tuple(out))  # in range by construction
     report = verify(result)
     if not report.valid:  # block arithmetic regression; cannot happen otherwise
         raise RuntimeError(f"lifted sequence failed verification: {report.failure}")

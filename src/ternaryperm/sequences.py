@@ -9,12 +9,48 @@ from __future__ import annotations
 
 __all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "verify"]
 
+import sys
+from array import array
 from dataclasses import FrozenInstanceError, dataclass
 from itertools import compress, count
-from operator import xor
 from typing import Iterable, Iterator, Optional
 
 from .words import MAX_DIM, Word
+
+# The whole-buffer paths here, in lifting and in catalog pack one word per
+# 32-bit lane of an array('I'); MAX_DIM <= 30 keeps every value and its
+# two-bit lift tag inside a lane.
+if array("I").itemsize != 4:
+    raise ImportError(f"ternaryperm needs 4-byte array('I') items, not {array('I').itemsize}-byte ones")
+
+
+def lanes(values: array) -> int:
+    """The array's items as the 32-bit lanes of one int; XOR, OR and shifts then act lane by lane."""
+    return int.from_bytes(values.tobytes(), sys.byteorder)
+
+
+def unlanes(packed: int, size: int) -> array:
+    """Inverse of lanes(): the first size 32-bit lanes of packed, as an array('I')."""
+    values = array("I")
+    values.frombytes(packed.to_bytes(4 * size, sys.byteorder))
+    return values
+
+
+def le_bytes(values: Iterable[int]) -> bytes:
+    """The values as 4-byte little-endian words, whatever the host's byte order."""
+    words = array("I", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words.tobytes()
+
+
+def le_values(data: bytes) -> array:
+    """Inverse of le_bytes(): the 4-byte little-endian words of data, as an array('I')."""
+    words = array("I")
+    words.frombytes(data)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return words
 
 
 @dataclass(frozen=True)
@@ -174,11 +210,14 @@ def _check(seq: TernarySequence) -> VerificationReport:
             seen[v] = pos
     # Sum j (0-based) is vals[2j] ^ vals[2j + 1] ^ vals[2j + 2], centred on
     # the 1-based even index 2j + 2; expected is odd, so the slices cover
-    # every even index 2 .. expected - 1.
-    odd = vals[0::2]
-    sums = list(map(xor, map(xor, odd, vals[1::2]), odd[1:]))
-    j = next(compress(count(), sums), None)  # index of the first nonzero sum
-    if j is not None:
+    # every even index 2 .. expected - 1.  All the sums are taken at once,
+    # one per 32-bit lane of three big-int XORs.
+    arr = array("I", vals)
+    odd = arr[0::2]
+    packed = lanes(odd[:-1]) ^ lanes(arr[1::2]) ^ lanes(odd[1:])
+    if packed:
+        sums = unlanes(packed, len(odd) - 1)
+        j = next(compress(count(), sums))  # index of the first nonzero sum
         i = 2 * j + 2
         return VerificationReport(
             False,

@@ -140,6 +140,22 @@ class TestFormats:
         text = format_sequence(generate(2), "decimal")
         assert text == "n=2\n1 2 3\n"
 
+    @pytest.mark.parametrize("dim", range(2, 17))
+    def test_binary_matches_the_per_word_layout(self, dim):
+        values = list(range(1, 1 << dim))
+        random.Random(dim).shuffle(values)
+        s = TernarySequence.from_decimals(dim, values)
+        assert format_sequence(s, "binary") == binary_reference(dim, values)
+
+    @pytest.mark.parametrize(
+        "dim,values",
+        [(5, ()), (30, ((1 << 30) - 1, 1 << 29, (1 << 29) | 0x00F0F0F, 1, 0x2AAAAAAA))],
+        ids=["empty", "short-dim-30"],
+    )
+    def test_binary_layout_of_invalid_sequences(self, dim, values):
+        s = TernarySequence.from_decimals(dim, values)
+        assert format_sequence(s, "binary") == binary_reference(dim, values)
+
     def test_binary_layout(self):
         text = format_sequence(generate(2), "binary")
         assert text == "n=2\n01\n10\n11\n"
@@ -315,6 +331,30 @@ class TestParseErrors:
     def test_truncated_binary(self):
         self.assert_parse_error("n=2\n01\n10\n", "expected 3 values, got 2")
 
+    @pytest.mark.parametrize(
+        "brk", ("\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029")
+    )
+    def test_lines_are_numbered_by_newlines_alone(self, brk):
+        # the tokens around the break still split, as at any whitespace
+        self.assert_parse_error(f"n=3\n1 2{brk}3 4\n5 6 x\n", "'x' is not a decimal value", line=3)
+
+    @pytest.mark.parametrize("ending", ("\n", "\r\n"))
+    def test_a_line_ending_is_one_break_and_a_final_one_starts_no_line(self, ending):
+        e = ending
+        self.assert_parse_error(f"n=2{e}1 2{e}3{e}4{e}", "expected 3 values, got more", line=4)
+        self.assert_parse_error(f"n=2{e}1 2{e}", "expected 3 values, got 2", line=2)
+
+    def test_a_header_line_carrying_values_is_malformed(self):
+        self.assert_parse_error("n=2\x0c1 2 3\n", "malformed header", line=1)
+
+    def test_binary_words_on_one_line_are_not_separate_lines(self):
+        self.assert_parse_error("n=2\n01\x0c10\n11\n", "0/1 string", line=2, fmt="binary")
+
+
+def binary_reference(dim, values):
+    """The binary text written one word at a time."""
+    return f"n={dim}\n" + "\n".join(format(v, f"0{dim}b") for v in values) + "\n"
+
 
 def outcome(parse, text, fmt):
     """What a parser does with text: its result, or the error it raises."""
@@ -332,7 +372,27 @@ def well_formed(dim, fmt, seed):
 
 #: Pieces spliced into a well-formed file: digits, whitespace, and characters
 #: that int() accepts in places where the file format does not.
-MUTATIONS = ("0", "1", "7", " ", "\n", "\r\n", "\t", "x", "-", "+", "_", "b", "\u00b3", "\u0661", "")
+MUTATIONS = (
+    "0", "1", "2", "7", " ", "\n", "\r\n", "\r", "\t", "\x0c", "\u2028", "x", "-", "+", "_", "b", "\u00b3",
+    "\u0661", "",
+)
+
+#: Ways to bend the canonical binary file of generate(5), each a function of its lines.
+BINARY_VARIANTS = {
+    "canonical": lambda lines: "\n".join(lines) + "\n",
+    "no-final-newline": lambda lines: "\n".join(lines),
+    "crlf": lambda lines: "\r\n".join(lines) + "\r\n",
+    "blank-line": lambda lines: "\n".join(lines[:7] + [""] + lines[7:]) + "\n",
+    "trailing-space": lambda lines: "\n".join(lines[:7] + [lines[7] + " "] + lines[8:]) + "\n",
+    "short-line": lambda lines: "\n".join(lines[:7] + [lines[7][1:]] + lines[8:]) + "\n",
+    "long-line": lambda lines: "\n".join(lines[:7] + [lines[7] + "1"] + lines[8:]) + "\n",
+    "a-2": lambda lines: "\n".join(lines[:7] + ["2" + lines[7][1:]] + lines[8:]) + "\n",
+    "zero-word": lambda lines: "\n".join(lines[:7] + ["00000"] + lines[8:]) + "\n",
+    # same length and a newline at every stride, but one line is split in two
+    "newline-inside-a-line": lambda lines: "\n".join(lines[:7] + ["01\n10"] + lines[8:]) + "\n",
+    "missing-line": lambda lines: "\n".join(lines[:-1]) + "\n",
+    "extra-line": lambda lines: "\n".join(lines + [lines[1]]) + "\n",
+}
 
 FORMAT_ARGS = st.sampled_from((None, "decimal", "binary"))
 
@@ -344,6 +404,28 @@ class TestBulkParse:
         text = format_sequence(generate(n), fmt)
         assert catalog._parse_bulk(text, None) == (generate(n), fmt)
         assert catalog._parse_bulk(text, fmt) == (generate(n), fmt)
+
+    @pytest.mark.parametrize("fmt", ("decimal", "binary"))
+    def test_takes_the_bulk_path_across_byte_lanes(self, fmt):
+        text = format_sequence(generate(17), fmt)
+        assert catalog._parse_bulk(text, None) == (generate(17), fmt)
+
+    def test_binary_columns_reach_every_byte_lane(self):
+        values = ((1 << 30) - 1, 1 << 29, (1 << 29) | 0x00F0F0F, 1, 0x2AAAAAAA, 0)
+        body = binary_reference(30, values).partition("\n")[2].encode()
+        assert catalog._read_binary_columns(body, 30, len(values)) == values
+
+    @pytest.mark.parametrize("fmt", (None, "decimal", "binary"))
+    @pytest.mark.parametrize("variant", BINARY_VARIANTS)
+    def test_binary_layouts_agree_with_line_scan(self, variant, fmt):
+        lines = format_sequence(generate(5), "binary").splitlines()
+        text = BINARY_VARIANTS[variant](lines)
+        expected = outcome(catalog._parse_lines, text, fmt)
+        assert outcome(parse_sequence_text, text, fmt) == expected
+        bulk = catalog._parse_bulk(text, fmt)
+        assert bulk is None or bulk == expected
+        if variant == "canonical" and fmt != "decimal":
+            assert bulk == (generate(5), "binary")
 
     @pytest.mark.parametrize(
         "text",
@@ -366,13 +448,14 @@ class TestBulkParse:
             assert bulk is None or bulk == catalog._parse_lines(text, fmt)
 
     @given(
-        dim=st.integers(min_value=2, max_value=6),
+        dim=st.integers(min_value=2, max_value=10),
         fmt=st.sampled_from(("decimal", "binary")),
         seed=st.integers(min_value=0, max_value=2**32),
         parse_fmt=FORMAT_ARGS,
     )
     def test_agrees_with_line_scan_on_well_formed_files(self, dim, fmt, seed, parse_fmt):
         text = well_formed(dim, fmt, seed)
+        assert outcome(parse_sequence_text, text, parse_fmt) == outcome(catalog._parse_lines, text, parse_fmt)
         bulk = catalog._parse_bulk(text, parse_fmt)
         assert bulk is not None or parse_fmt not in (None, fmt)
         if bulk is not None:

@@ -84,7 +84,7 @@ class TestGen:
         code, out, err = run(capsys, "gen", "--dim", "15")
         assert code == EXIT_INVALID_INPUT
         assert out == ""
-        assert "n=15 needs about 6 MB at its peak, more than the 1 MB of physical memory" in err
+        assert "n=15 needs about 4 MB at its peak, more than the 1 MB of physical memory" in err
 
     def test_invalid_dim(self, capsys):
         code, _, err = run(capsys, "gen", "--dim", "1")
@@ -162,6 +162,14 @@ class TestVerify:
         assert code == EXIT_PARSE_ERROR
         assert out == ""
         assert "line 2: byte 0xff is not UTF-8 text" in err
+
+    def test_parse_errors_name_the_line_grep_counts(self, capsys, tmp_path):
+        path = tmp_path / "formfeed.txt"
+        path.write_bytes(b"n=3\n1 2\x0c3 4\n5 6 x\n")
+        code, out, err = run(capsys, "verify", str(path))
+        assert code == EXIT_PARSE_ERROR
+        assert out == ""
+        assert "line 3: 'x' is not a decimal value" in err
 
     def test_missing_file(self, capsys, tmp_path):
         code, _, err = run(capsys, "verify", str(tmp_path / "nope.txt"))
@@ -287,7 +295,7 @@ class TestInfo:
 
     def test_refuses_a_dim_beyond_physical_memory_as_gen_does(self, capsys, monkeypatch):
         monkeypatch.setattr(catalog, "_physical_memory", lambda: 10**6)
-        message = "n=20 needs about 189 MB at its peak, more than the 1 MB of physical memory"
+        message = "n=20 needs about 142 MB at its peak, more than the 1 MB of physical memory"
         for command in ("info", "gen"):
             code, out, err = run(capsys, command, "--dim", "20")
             assert code == EXIT_INVALID_INPUT

@@ -1,11 +1,13 @@
 import copy
 import pickle
+import struct
 from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, strategies as st
 
 from ternaryperm import sequences
+from ternaryperm.catalog import generate
 from ternaryperm.sequences import TernarySequence, VerificationReport, verify
 from ternaryperm.words import Word
 
@@ -222,3 +224,82 @@ def test_verify_matches_naive_oracle_on_arbitrary_words(dim, data):
     )
     s = seq(dim, values)
     assert verify(s).valid == naive_is_ternary(dim, list(values))
+
+
+def reference_failure(dim, vals):
+    """The first violation as (kind, index, detail), found one word at a time; None if valid."""
+    expected = 2**dim - 1
+    if len(vals) != expected:
+        detail = f"expected {expected} words for n={dim}, got {len(vals)}"
+        return "length", min(len(vals), expected) + 1, detail
+    seen = {}
+    for pos, v in enumerate(vals, start=1):
+        if v == 0:
+            return "zero-word", pos, f"word at position {pos} is zero"
+        if v in seen:
+            return "duplicate", pos, f"word {v} at position {pos} already appeared at position {seen[v]}"
+        seen[v] = pos
+    for i in range(2, expected, 2):
+        total = vals[i - 2] ^ vals[i - 1] ^ vals[i]
+        if total:
+            return "triple-sum", i, f"v{i - 1} XOR v{i} XOR v{i + 1} = {total}, expected 0"
+    return None
+
+
+class TestLittleEndianWords:
+    """catalog's binary I/O reads and writes values through these; the bytes must not depend on the host."""
+
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
+    def test_le_bytes_matches_struct(self, values):
+        assert sequences.le_bytes(values) == struct.pack(f"<{len(values)}I", *values)
+
+    @given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
+    def test_le_values_inverts_le_bytes(self, values):
+        packed = struct.pack(f"<{len(values)}I", *values)
+        assert list(sequences.le_values(packed)) == values
+
+
+def check_outcome(dim, vals):
+    failure = sequences._check(TernarySequence._trusted(dim, tuple(vals))).failure
+    return None if failure is None else (failure.kind, failure.index, failure.detail)
+
+
+class TestTripleCheck:
+    """_check finds the first failing triple in packed lanes; these pin it to a per-word scan."""
+
+    @given(
+        dim=st.sampled_from((2, 5, 6, 7, 8)),
+        data=st.data(),
+    )
+    def test_matches_a_per_word_scan_on_random_corruptions(self, dim, data):
+        vals = list(generate(dim).decimals)
+        size = len(vals)
+        edits = data.draw(
+            st.lists(
+                st.one_of(
+                    st.tuples(st.just("swap"), st.integers(0, size - 1), st.integers(0, size - 1)),
+                    st.tuples(st.just("set"), st.integers(0, size - 1), st.integers(0, size)),
+                    # out of the dimension's range: sums reach bit 29 without colliding
+                    st.tuples(st.just("flip29"), st.integers(0, size - 1), st.just(1 << 29)),
+                ),
+                max_size=4,
+            )
+        )
+        for kind, i, x in edits:
+            if kind == "swap":
+                vals[i], vals[x] = vals[x], vals[i]
+            elif kind == "set":
+                vals[i] = x
+            else:
+                vals[i] ^= x
+        assert check_outcome(dim, vals) == reference_failure(dim, vals)
+
+    @pytest.mark.parametrize("dim", (5, 8))
+    def test_a_failure_in_the_last_triple(self, dim):
+        vals = list(generate(dim).decimals)
+        vals[-1] |= 1 << 29
+        got = check_outcome(dim, vals)
+        assert got == reference_failure(dim, vals)
+        assert got[:2] == ("triple-sum", len(vals) - 1)
+        assert got[2].endswith(f"= {1 << 29}, expected 0")
+
