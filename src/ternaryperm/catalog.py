@@ -146,11 +146,15 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     decimal: every value on one whitespace-separated line, in order.
     binary: one 0/1 string of length dim per line, most significant first.
     """
-    if fmt == "decimal":
-        return f"n={seq.dim}\n" + " ".join(map(str, seq.decimals)) + "\n"
+    _check_format(fmt)
     if fmt == "binary":
         return _format_binary(seq)
-    raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    return f"n={seq.dim}\n" + " ".join(map(str, seq.decimals)) + "\n"
+
+
+def _check_format(fmt: str) -> None:
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def _format_binary(seq: TernarySequence) -> str:
@@ -172,10 +176,11 @@ def _format_binary(seq: TernarySequence) -> str:
 def _read_binary_columns(data: bytes, dim: int, count: int) -> Optional[tuple[int, ...]]:
     """The values of a canonical binary body, or None when data is not one.
 
-    Canonical means exactly count lines, each of dim 0/1 characters ending
-    in a newline, as format_sequence writes them.  Each bit column becomes
-    one int, ORed into the int of its byte plane; the four planes are then
-    interleaved into the values' little-endian bytes.
+    data is the body alone, without the header line.  Canonical means
+    exactly count lines, each of dim 0/1 characters ending in a newline,
+    as format_sequence writes them; a zero word reads as 0.  Each bit
+    column becomes one int, ORed into the int of its byte plane; the four
+    planes are then interleaved into the values' little-endian bytes.
     """
     width = dim + 1
     newlines = b"\n" * count
@@ -211,10 +216,19 @@ def _is_binary_word(text: str, dim: int) -> bool:
     return len(text) == dim and set(text) <= {"0", "1"}
 
 
-def _parse_header(lines: list[str]) -> int:
-    if not lines:
+def _first_line(body: str) -> str:
+    """The first line of body that is not blank, stripped; '' if there is none."""
+    body = body.lstrip()  # blank lines are whitespace, so this starts on that line
+    end = body.find("\n")
+    return (body if end < 0 else body[:end]).rstrip()
+
+
+def _parse_header(text: str) -> tuple[int, str]:
+    """The dimension on the header line of text, and the body after that line."""
+    if not text:
         raise ParseError(1, "empty file; expected header n=<dim>")
-    header = lines[0].strip()
+    line, _, body = text.partition("\n")
+    header = line.strip()
     if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
         raise ParseError(1, f"malformed header {header!r}; expected n=<dim>")
     dim = _small_int(header[2:], MAX_DIM)
@@ -225,7 +239,7 @@ def _parse_header(lines: list[str]) -> int:
         raise ParseError(1, f"dimension must be at least 2, got {dim}")
     if dim > MAX_DIM:
         raise ParseError(1, f"dimension must be at most {MAX_DIM}, got {dim}")
-    return dim
+    return dim, body
 
 
 def _check_value(value: int, expected: int, line: int) -> None:
@@ -238,85 +252,68 @@ def _check_value(value: int, expected: int, line: int) -> None:
 def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySequence, str]:
     """Parse either text format; returns (sequence, format used).
 
-    With fmt=None the format is detected: a body whose first nonempty
-    line is a single dim-length 0/1 string reads as binary, anything else
-    as decimal.  Structural problems raise ParseError; being non-ternary
-    is not structural and is left to verify().
+    The header line is read first, then the format is decided: fmt, or
+    with fmt=None the detected one (a body whose first nonempty line is a
+    single dim-length 0/1 string reads as binary, anything else as
+    decimal).  Only the body is read after that: whole when it is well
+    formed (see _read_body), line by line otherwise, which names the
+    offending line.  Structural problems raise ParseError; being
+    non-ternary is not structural and is left to verify().
     """
-    return _parse_bulk(text, fmt) or _parse_lines(text, fmt)
+    dim, body = _parse_header(text)
+    if fmt is None:
+        fmt = "binary" if _is_binary_word(_first_line(body), dim) else "decimal"
+    else:
+        _check_format(fmt)
+    values = _read_body(body.encode(), dim, fmt) if body.isascii() else None
+    if values is None:
+        values = _scan_lines(body, dim, fmt)
+    return TernarySequence._trusted(dim, values), fmt
 
 
-def _parse_bulk(text: str, fmt: Optional[str]) -> Optional[tuple[TernarySequence, str]]:
-    """Whole-body parse of a well-formed file; None when the file needs the line scan.
+def _read_body(data: bytes, dim: int, fmt: str) -> Optional[tuple[int, ...]]:
+    """The values of a well-formed body, or None when it needs the line scan.
 
     A binary body must be canonical (see _read_binary_columns) and hold
     no zero word.  A decimal body must hold only digits, spaces and
-    newlines, the right number of tokens, and values in range.  Anything
-    else returns None, leaving _parse_lines to parse it or to report the
-    offending line.  When this returns a result, _parse_lines would
-    return the same one.  The values are range-checked here, so the
-    sequence is built without a second check.
+    newlines, the right number of tokens, and values in range.  When this
+    returns values, _scan_lines would return the same ones; anything else
+    is left to _scan_lines to read or to report at the offending line.
     """
-    if fmt is not None and fmt not in FORMATS:
-        return None
-    header, _, body = text.partition("\n")
-    if not header.startswith("n=") or not _is_ascii_digits(header[2:]):
-        return None
-    dim = _small_int(header[2:], MAX_DIM)
-    if dim is None or not 2 <= dim <= MAX_DIM or not body.isascii():
-        return None
     expected = (1 << dim) - 1
-    data = body.encode()
-    if fmt != "decimal":
-        # Every line of a canonical body is a dim-length 0/1 string, so
-        # format detection reads it as binary too.
+    if fmt == "binary":
         values = _read_binary_columns(data, dim, expected)
-        if values is not None:  # a zero word's line is _parse_lines' to report
-            return None if 0 in values else (TernarySequence._trusted(dim, values), "binary")
-        if fmt == "binary":
-            return None
-    tokens = body.split()
-    if len(tokens) != expected:
-        return None
-    # Detection may read a body whose first token is a 0/1 word as
-    # binary (when the word is alone on its line); the line scan decides.
-    if fmt is None and _is_binary_word(tokens[0], dim):
-        return None
+        return None if values is None or 0 in values else values
     if data.translate(None, b"0123456789 \n"):
+        return None
+    tokens = data.split()
+    if len(tokens) != expected:
         return None
     try:
         values = tuple(map(int, tokens))
     except ValueError:  # digit strings past int()'s length limit
         return None
-    if min(values) < 1 or max(values) > expected:
-        return None
-    return TernarySequence._trusted(dim, values), "decimal"
+    return values if min(values) >= 1 and max(values) <= expected else None
 
 
-def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
-    """Line-by-line parse of any input; raises ParseError at the first bad line.
+def _scan_lines(body: str, dim: int, fmt: str) -> tuple[int, ...]:
+    """Line-by-line read of any body; raises ParseError at the first bad line.
 
-    Lines end at a newline alone, as grep -n counts them, not at the other
-    breaks str.splitlines() knows; a final newline starts no line.  A
-    carriage return before the newline is stripped with the rest of the
+    Body lines are numbered from 2, after the header line.  Lines end at
+    a newline alone, as grep -n counts them, not at the other breaks
+    str.splitlines() knows; a final newline starts no line.  A carriage
+    return before the newline is stripped with the rest of the
     surrounding whitespace.
     """
-    lines = text.split("\n")
+    lines = body.split("\n")
     if lines[-1] == "":
         lines.pop()
-    dim = _parse_header(lines)
     expected = (1 << dim) - 1
-    body = [(no, line.strip()) for no, line in enumerate(lines[1:], start=2) if line.strip()]
-    if fmt is None:
-        first = body[0][1] if body else ""
-        fmt = "binary" if _is_binary_word(first, dim) else "decimal"
-    elif fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
+    rows = [(no, line.strip()) for no, line in enumerate(lines, start=2) if line.strip()]
 
     values: list[int] = []
-    last_line = len(lines)  # header parsing guarantees at least one line
     if fmt == "binary":
-        for no, line in body:
+        for no, line in rows:
             if not _is_binary_word(line, dim):
                 raise ParseError(no, f"expected one {dim}-character 0/1 string per line, got {line!r}")
             if len(values) == expected:
@@ -325,7 +322,7 @@ def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
             _check_value(value, expected, no)
             values.append(value)
     else:
-        for no, line in body:
+        for no, line in rows:
             for token in line.split():
                 if not _is_ascii_digits(token):
                     raise ParseError(no, f"{token!r} is not a decimal value")
@@ -338,8 +335,8 @@ def _parse_lines(text: str, fmt: Optional[str]) -> tuple[TernarySequence, str]:
                 _check_value(value, expected, no)
                 values.append(value)
     if len(values) != expected:
-        raise ParseError(last_line, f"expected {expected} values, got {len(values)}")
-    return TernarySequence.from_decimals(dim, values), fmt
+        raise ParseError(len(lines) + 1, f"expected {expected} values, got {len(values)}")
+    return tuple(values)
 
 
 @dataclass(frozen=True)

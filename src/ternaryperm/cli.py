@@ -9,6 +9,7 @@ from typing import Optional
 
 from ._version import VERSION
 from .catalog import (
+    FORMATS,
     BaseCaseStore,
     NonexistentDimensionError,
     ParseError,
@@ -52,12 +53,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("gen", help="construct a sequence for a dimension and print it")
     gen.add_argument("--dim", type=int, required=True, help="target dimension n (n >= 2)")
-    gen.add_argument("--format", choices=("decimal", "binary"), default="decimal")
+    gen.add_argument("--format", choices=FORMATS, default="decimal")
     gen.add_argument("--out", type=Path, help="write to a file instead of standard output")
 
     ver = sub.add_parser("verify", help="check a sequence file against the defining conditions")
     ver.add_argument("path", type=Path)
-    ver.add_argument("--format", choices=("auto", "decimal", "binary"), default="auto")
+    ver.add_argument("--format", choices=("auto", *FORMATS), default="auto")
 
     sea = sub.add_parser("search", help="backtracking search over candidate sequences")
     sea.add_argument("--dim", type=int, required=True, help=f"dimension in [2, {MAX_SEARCH_DIM}]")
@@ -75,7 +76,7 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKERS",
         help="worker processes for count/prove-none; first mode is sequential",
     )
-    sea.add_argument("--format", choices=("decimal", "binary"), default="decimal")
+    sea.add_argument("--format", choices=FORMATS, default="decimal")
     sea.add_argument("--out", type=Path)
 
     pro = sub.add_parser("prove", help="exhaustive nonexistence certificate for n = 3 or 4")

@@ -3,6 +3,7 @@ import os
 import random
 import stat
 import threading
+from unittest import mock
 
 import pytest
 from hypothesis import given, strategies as st
@@ -315,7 +316,7 @@ class TestParseErrors:
 
     def test_header_past_int_digit_limit(self):
         text = "n=" + "9" * 5000 + "\n1 2 3\n"
-        assert catalog._parse_bulk(text, None) is None
+        assert whole_body(text, None) is None
         self.assert_parse_error(text, "at most 30, got a 5000-digit number", line=1)
 
     def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
@@ -364,6 +365,29 @@ def outcome(parse, text, fmt):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+class LineScanStarted(Exception):
+    """Raised in place of the line scan, to see whether a parse needed it."""
+
+
+def whole_body(text, fmt):
+    """What parse_sequence_text returns by the whole-body read alone.
+
+    None when the body would go to the line scan, or when the header line
+    already fails and no body is read.
+    """
+    with mock.patch.object(catalog, "_scan_lines", side_effect=LineScanStarted):
+        try:
+            return parse_sequence_text(text, fmt)
+        except (LineScanStarted, ParseError):
+            return None
+
+
+def line_scan(text, fmt):
+    """parse_sequence_text with every body read by the line scan."""
+    with mock.patch.object(catalog, "_read_body", return_value=None):
+        return parse_sequence_text(text, fmt)
+
+
 def well_formed(dim, fmt, seed):
     values = list(range(1, 1 << dim))
     random.Random(seed).shuffle(values)
@@ -402,13 +426,20 @@ class TestBulkParse:
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_takes_the_bulk_path_on_written_files(self, n, fmt):
         text = format_sequence(generate(n), fmt)
-        assert catalog._parse_bulk(text, None) == (generate(n), fmt)
-        assert catalog._parse_bulk(text, fmt) == (generate(n), fmt)
+        assert whole_body(text, None) == (generate(n), fmt)
+        assert whole_body(text, fmt) == (generate(n), fmt)
+
+    @pytest.mark.parametrize("header", (" n=5 \n", "n=5\r\n", "\tn=05\x0c\n"))
+    @pytest.mark.parametrize("fmt", ("decimal", "binary"))
+    def test_takes_the_bulk_path_under_a_padded_header(self, header, fmt):
+        plain = format_sequence(generate(5), fmt)
+        padded = header + plain.partition("\n")[2]
+        assert whole_body(padded, None) == whole_body(padded, fmt) == parse_sequence_text(plain)
 
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_takes_the_bulk_path_across_byte_lanes(self, fmt):
         text = format_sequence(generate(17), fmt)
-        assert catalog._parse_bulk(text, None) == (generate(17), fmt)
+        assert whole_body(text, None) == (generate(17), fmt)
 
     def test_binary_columns_reach_every_byte_lane(self):
         values = ((1 << 30) - 1, 1 << 29, (1 << 29) | 0x00F0F0F, 1, 0x2AAAAAAA, 0)
@@ -420,9 +451,9 @@ class TestBulkParse:
     def test_binary_layouts_agree_with_line_scan(self, variant, fmt):
         lines = format_sequence(generate(5), "binary").splitlines()
         text = BINARY_VARIANTS[variant](lines)
-        expected = outcome(catalog._parse_lines, text, fmt)
+        expected = outcome(line_scan, text, fmt)
         assert outcome(parse_sequence_text, text, fmt) == expected
-        bulk = catalog._parse_bulk(text, fmt)
+        bulk = whole_body(text, fmt)
         assert bulk is None or bulk == expected
         if variant == "canonical" and fmt != "decimal":
             assert bulk == (generate(5), "binary")
@@ -444,8 +475,8 @@ class TestBulkParse:
     )
     def test_agrees_with_line_scan_on_tricky_tokens(self, text):
         for fmt in (None, "decimal", "binary"):
-            bulk = catalog._parse_bulk(text, fmt)
-            assert bulk is None or bulk == catalog._parse_lines(text, fmt)
+            bulk = whole_body(text, fmt)
+            assert bulk is None or bulk == line_scan(text, fmt)
 
     @given(
         dim=st.integers(min_value=2, max_value=10),
@@ -455,11 +486,11 @@ class TestBulkParse:
     )
     def test_agrees_with_line_scan_on_well_formed_files(self, dim, fmt, seed, parse_fmt):
         text = well_formed(dim, fmt, seed)
-        assert outcome(parse_sequence_text, text, parse_fmt) == outcome(catalog._parse_lines, text, parse_fmt)
-        bulk = catalog._parse_bulk(text, parse_fmt)
+        assert outcome(parse_sequence_text, text, parse_fmt) == outcome(line_scan, text, parse_fmt)
+        bulk = whole_body(text, parse_fmt)
         assert bulk is not None or parse_fmt not in (None, fmt)
         if bulk is not None:
-            assert bulk == catalog._parse_lines(text, parse_fmt)
+            assert bulk == line_scan(text, parse_fmt)
             assert format_sequence(bulk[0], bulk[1]) == text
 
     @given(
@@ -478,8 +509,8 @@ class TestBulkParse:
         for where, piece, replace in edits:
             at = int(where * len(text))
             text = text[:at] + piece + text[at + replace :]
-        bulk = catalog._parse_bulk(text, parse_fmt)
-        lines = outcome(catalog._parse_lines, text, parse_fmt)
+        bulk = whole_body(text, parse_fmt)
+        lines = outcome(line_scan, text, parse_fmt)
         assert bulk is None or bulk == lines
         assert outcome(parse_sequence_text, text, parse_fmt) == lines
 
