@@ -183,8 +183,10 @@ def _read_binary_columns(data: bytes, dim: int, count: int) -> Optional[tuple[in
     planes are then interleaved into the values' little-endian bytes.
     """
     width = dim + 1
+    if len(data) != count * width:  # before anything is sized by count, which the header sets
+        return None
     newlines = b"\n" * count
-    if len(data) != count * width or data.translate(None, b"01") != newlines or data[dim::width] != newlines:
+    if data.translate(None, b"01") != newlines or data[dim::width] != newlines:
         return None
     planes = [0, 0, 0, 0]  # byte b of every value, as one int per b
     for col in range(dim):

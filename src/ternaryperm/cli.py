@@ -119,6 +119,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
         node_budget=args.budget,
     )
     if args.parallel is not None:
+        if config.mode is SearchMode.FIRST:
+            raise ValueError("first mode is sequential; drop --parallel")
         outcome = search_parallel(config, args.parallel)
     else:
         outcome = search(config)

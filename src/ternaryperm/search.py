@@ -36,6 +36,9 @@ _REDUCE = True
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
 
+#: The dead-subtree memo is emptied when it reaches this many entries (about 3 MB).
+_MEMO_CAP = 1 << 15
+
 
 class SearchMode(Enum):
     FIRST = "first"
@@ -81,10 +84,12 @@ class SearchOutcome:
     including ones whose forced follower immediately collided; candidates
     skipped because their word was already in use are not assignments.
     Some candidates are counted in bulk rather than one at a time: those
-    of a slot where none fits, and of a second-to-last slot that holds no
-    solution, are added without the slot being entered.  The total is
-    the same as one candidate at a time.  Fields other than the one
-    matching the mode stay None.
+    of a slot where none fits, of a second-to-last slot that holds no
+    solution, and of a slot whose solution-free subtree the search has
+    already finished after another prefix (the memo), are added without
+    the slot being entered.  The total is the same as one candidate at a
+    time, so nodes per second counts these credited nodes too.  Fields
+    other than the one matching the mode stay None.
     """
 
     dim: int
@@ -179,6 +184,7 @@ def _explore(
     prefix: tuple[int, ...] = (),
     node_budget: Optional[int] = None,
     orders: Optional[list[list[int]]] = None,
+    memo: Optional[dict[int, int]] = None,
 ):
     """Depth-first scan of every ternary permutation extending `prefix`.
 
@@ -221,7 +227,29 @@ def _explore(
     not checked after these two adds: nodes only grow, and the next add,
     which comes before any solution is recorded or any result returned,
     is checked and raises the same error.
+
+    memo maps the state of a finished, solution-free subtree to its
+    nodes, and a next slot whose state is in it is counted in place too.
+    A slot's subtree depends only on the words still free there and on
+    the word before it (how many words are used fixes the slot), so the
+    key is nfree << dim | c.  An entry is made on backing out of an
+    entered slot whose subtree added nothing to count; in first and
+    prove_none modes that is every slot backed out of, since a solution
+    returns at once.  Such a subtree was traversed in full, so, as for
+    the two adds above, its nodes depend on its state alone, not on the
+    mode, the candidate order, the prefix or the budget, and crediting
+    them gives the count, nodes, first solution and budget error of a
+    slot by slot scan; the credit goes unchecked against the budget for
+    the same reason as those adds.  An entry thus holds for any later call
+    at the same dimension: a call may be handed the memo of earlier calls
+    at its dimension, never one of another dimension, and None gives it a
+    fresh one.  Swapping the first two words, for one, reaches the same
+    state at slot 2.  Values are plain ints, which the garbage collector
+    does not scan, and the memo is emptied when it reaches _MEMO_CAP
+    entries, which bounds its memory and changes no result.
     """
+    if memo is None:
+        memo = {}
     size = (1 << dim) - 1
     free_pos = _free_positions(dim)
     n_free = len(free_pos)
@@ -241,6 +269,9 @@ def _explore(
     free_left = [0] * n_free  # per entered slot: free candidates not tried yet
     ok_left = [0] * n_free  # per entered slot: assignable candidates not tried yet
     und = [0] * n_free  # bits to give back to avail when a slot's assignment is undone
+    key_in = [0] * n_free  # per entered slot: its memo key
+    nodes_in = [0] * n_free  # per entered slot: nodes and count when it was entered
+    count_in = [0] * n_free
     last = n_free - 1
     pen = n_free - 2  # the second-to-last slot
     # Slot d sits at position p, after the word prev; avail holds every
@@ -255,6 +286,7 @@ def _explore(
         t = ((t >> s) & lo) | ((t & lo) << s)
     free = avail
     ok = avail & t
+    key_in[d] = avail << dim | prev
     while True:
         if orders is not None:  # slot d was just entered
             order = orders[d - start]
@@ -265,6 +297,10 @@ def _explore(
                 nodes += free.bit_count()
                 if nodes > budget:
                     raise BudgetExhaustedError(node_budget + 1)
+                if count == count_in[d]:  # slot d's subtree holds no solution
+                    if len(memo) >= _MEMO_CAP:
+                        memo.clear()
+                    memo[key_in[d]] = nodes - nodes_in[d]
                 d -= 1
                 if d < start:
                     return first, count, nodes
@@ -310,6 +346,11 @@ def _explore(
                 if nok.bit_count() != 2 or not nok >> x & 1:  # holds no solution
                     nodes += nfree.bit_count() + 2 * nok.bit_count()
                     continue
+            key = nfree << dim | c
+            seen = memo.get(key)
+            if seen is not None:  # finished before, without a solution
+                nodes += seen
+                continue
             break
         seq[p] = w
         seq[p + 1] = c  # at position 1, a placeholder that slot 1 overwrites
@@ -318,6 +359,9 @@ def _explore(
         free_left[d] = free
         ok_left[d] = ok
         d += 1
+        key_in[d] = key
+        nodes_in[d] = nodes
+        count_in[d] = count
         p = free_pos[d]
         prev = c
         free = nfree
@@ -359,9 +403,19 @@ def search(config: SearchConfig) -> SearchOutcome:
     return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
 
 
+#: In a search_parallel worker, the memo every subtree task it runs shares.
+_worker_memo: Optional[dict[int, int]] = None
+
+
+def _start_worker() -> None:
+    """Give a worker process an empty memo; each pool searches one dimension."""
+    global _worker_memo
+    _worker_memo = {}
+
+
 def _subtree_task(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, int]:
     dim, mode_value, prefix = args
-    _, count, nodes = _explore(dim, SearchMode(mode_value), prefix)
+    _, count, nodes = _explore(dim, SearchMode(mode_value), prefix, memo=_worker_memo)
     return count, nodes
 
 
@@ -373,7 +427,11 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     stays sequential to keep its smallest-solution guarantee.  Node
     totals match the sequential search exactly, except that prove_none
     workers cannot short-circuit each other, so when solutions exist the
-    parallel total may be higher.
+    parallel total may be higher.  Each worker keeps one memo (see
+    _explore) for all the subtree tasks it runs, so a state that two of
+    its tasks reach, such as the one after (a, b) in one and (b, a) in
+    the other, is traversed once there.  Like the sequential memo, it
+    changes no count or node total.
     """
     if config.mode is SearchMode.FIRST:
         raise ValueError("first mode is sequential; use search()")
@@ -394,7 +452,8 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     # imported here: it pulls in multiprocessing, which no other command needs
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+    n_workers = min(workers, len(tasks))
+    with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker) as pool:
         results = list(pool.map(_subtree_task, tasks))
     count = sum(c for c, _ in results)
     # each split candidate is itself one attempted assignment

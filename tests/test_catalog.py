@@ -3,10 +3,11 @@ import os
 import random
 import stat
 import threading
+import tracemalloc
 from unittest import mock
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from ternaryperm import catalog, sequences
 from ternaryperm.catalog import (
@@ -504,6 +505,8 @@ class TestBulkParse:
             max_size=3,
         ),
     )
+    # the inserted "0" makes the header n=30 over a 32-byte body
+    @example(dim=3, fmt="binary", seed=0, parse_fmt="binary", edits=[(0.09375, "0", False)])
     def test_agrees_with_line_scan_on_corrupted_files(self, dim, fmt, seed, parse_fmt, edits):
         text = well_formed(dim, fmt, seed)
         for where, piece, replace in edits:
@@ -513,6 +516,19 @@ class TestBulkParse:
         lines = outcome(line_scan, text, parse_fmt)
         assert bulk is None or bulk == lines
         assert outcome(parse_sequence_text, text, parse_fmt) == lines
+
+    def test_header_dimension_sizes_nothing_before_the_body_length_is_checked(self):
+        text = well_formed(3, "binary", 0)
+        text = text[:3] + "0" + text[3:]  # n=30: a body of 2**30 - 1 lines is expected
+        tracemalloc.start()
+        try:
+            with pytest.raises(ParseError) as err:
+                parse_sequence_text(text, "binary")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert err.value.line == 2
+        assert peak < 1 << 20
 
 
 class TestBaseCaseStore:

@@ -231,6 +231,7 @@ class TestSearch:
         )
         assert code == EXIT_INVALID_INPUT
         assert "sequential" in err
+        assert "drop --parallel" in err
 
     def test_reduce_toggle(self, capsys):
         code, out, _ = run(

@@ -1,3 +1,4 @@
+import functools
 import importlib
 import random
 
@@ -308,6 +309,74 @@ class TestKernelOracle:
                     assert expected[1] > 0
 
 
+class WatchedMemo(dict):
+    """A memo that counts its hits and clears and keeps its largest size."""
+
+    hits = clears = largest = 0
+
+    def get(self, key, default=None):
+        value = super().get(key, default)
+        self.hits += value is not None
+        return value
+
+    def __setitem__(self, key, value):
+        super().__setitem__(key, value)
+        self.largest = max(self.largest, len(self))
+
+    def clear(self):
+        self.clears += 1
+        super().clear()
+
+
+class TestMemo:
+    """The dead-subtree memo changes how nodes are counted, never the result."""
+
+    def test_one_memo_across_calls_agrees_with_the_reference(self):
+        rng = random.Random(23)
+        for dim, lengths in ((3, (0, 1, 2)), (4, (2, 3, 5)), (5, (9, 11))):
+            memo = WatchedMemo()
+            explore = functools.partial(_explore, memo=memo)
+            for _ in range(10):
+                drawn = random_valid_prefix(rng, dim, rng.choice(lengths))
+                # (a, b, ...) and (b, a, ...) leave the same state at slot 2
+                for prefix in dict.fromkeys((drawn, drawn[1::-1] + drawn[2:])):
+                    mode = rng.choice(list(SearchMode))
+                    orders = shuffled_orders(rng, dim, len(prefix)) if rng.random() < 0.5 else None
+                    _, _, nodes = reference_explore(dim, SearchMode.COUNT, prefix, orders=orders)
+                    budget = rng.choice((None, rng.randint(1, nodes + 1)))
+                    expected = budgeted(reference_explore, dim, mode, prefix, budget, orders)
+                    assert budgeted(explore, dim, mode, prefix, budget, orders) == expected
+            assert memo.hits > 0
+
+    def test_a_small_cap_changes_no_result(self, monkeypatch):
+        monkeypatch.setattr(importlib.import_module("ternaryperm.search"), "_MEMO_CAP", 64)
+        memo = WatchedMemo()
+        assert _explore(4, SearchMode.COUNT, (), memo=memo) == (None, 0, 1963305)
+        assert memo.clears > 0 and memo.largest <= 64
+        memo = WatchedMemo()
+        assert _explore(4, SearchMode.PROVE_NONE, (1, 2), memo=memo) == (None, 0, 9348)
+        assert memo.clears > 0 and memo.largest <= 64
+        memo = WatchedMemo()
+        assert _explore(5, SearchMode.FIRST, (1, 2), memo=memo) == (BASE5_DECIMALS, 1, 3403049)
+        assert memo.clears > 0 and memo.largest <= 64
+
+    def test_the_n4_count_fits_under_the_cap(self):
+        memo = WatchedMemo()
+        _explore(4, SearchMode.COUNT, (), memo=memo)
+        # every slot the tree enters, its first included, holds no solution
+        assert len(memo) == 26581 and memo.clears == 0
+        assert len(memo) < importlib.import_module("ternaryperm.search")._MEMO_CAP
+
+    @pytest.mark.slow
+    def test_count_that_overflows_the_cap_with_solutions_present(self):
+        # 3,416 GL(5,2) normal forms under this prefix, times the 16 maps
+        # that fix 1, 2, 4 and 8 (ROADMAP item 1's cross-check)
+        memo = WatchedMemo()
+        _, count, nodes = _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5), memo=memo)
+        assert (count, nodes) == (54656, 48145634)
+        assert memo.clears > 0
+
+
 class TestBudget:
     def test_exhaustion_raises(self):
         with pytest.raises(BudgetExhaustedError) as err:
@@ -333,6 +402,17 @@ class TestParallel:
         )
         assert parallel.nonexistent is True
         assert parallel.nodes_explored == sequential.nodes_explored
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,reduce",
+        [(SearchMode.COUNT, False), (SearchMode.PROVE_NONE, False), (SearchMode.PROVE_NONE, True)],
+    )
+    def test_dim4_nodes_match_sequential_with_per_worker_memos(self, mode, reduce, workers):
+        sequential = run(4, mode, reduce=reduce)
+        config = SearchConfig(dim=4, mode=mode, symmetry_reduction=reduce)
+        parallel = search_parallel(config, workers=workers)
+        assert parallel == sequential
 
     def test_first_mode_rejected(self):
         with pytest.raises(ValueError):
