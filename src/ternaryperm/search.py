@@ -31,8 +31,7 @@ MAX_SEARCH_DIM = 6
 #: Applied in first mode at dimensions 5 and 6 when no budget is given.
 DEFAULT_FIRST_MODE_BUDGET = 10**9
 
-#: search_randomized's tuning: reduced tree, shuffle attempts, node budget per attempt.
-_REDUCE = True
+#: search_randomized's tuning: shuffle attempts, node budget per attempt.
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
 
@@ -475,7 +474,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     dimensions 3 and 4 the outcome has sequence None.  Raises
     BudgetExhaustedError only after every attempt runs out.
     """
-    config = SearchConfig(dim, symmetry_reduction=_REDUCE, node_budget=_ATTEMPT_BUDGET)
+    config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
     prefix = _reduction_prefix(dim, config.symmetry_reduction)
     size = (1 << dim) - 1
     n_open = len(_free_positions(dim)) - len(prefix)

@@ -22,15 +22,7 @@ from ternaryperm.catalog import (
     save,
 )
 from ternaryperm.cli import EXIT_OK, main
-from ternaryperm.lifting import (
-    SPLICE_FIRST,
-    SPLICE_SECOND,
-    SPLICE_THIRD,
-    ModifierKind,
-    check_modifier_properties,
-    lift,
-    modifier,
-)
+from ternaryperm.lifting import SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD, TAGS, lift
 from ternaryperm.search import SearchConfig, SearchMode, naive_count, prove_impossibility, search
 from ternaryperm.sequences import verify
 from ternaryperm.words import Word, concat, zero
@@ -90,9 +82,9 @@ def test_criterion_3_lift_correctness():
             k = 2**dim - 1
             z = zero(dim)
             expected = Counter(
-                concat(source.words[i - 1], modifier(kind, i))
+                concat(source.words[i - 1], Word(row[i & 3], 2))
                 for i in range(1, k + 1)
-                for kind in ModifierKind
+                for row in TAGS
             )
             expected.update(
                 [concat(z, SPLICE_FIRST), concat(z, SPLICE_SECOND), concat(z, SPLICE_THIRD)]
@@ -102,17 +94,22 @@ def test_criterion_3_lift_correctness():
 
 def test_criterion_4_modifier_tables():
     with criterion(4, "tag families hold for every k <= 1023, table values exact"):
-        for k in range(3, 1024):
-            assert check_modifier_properties(k)
+        # the four tags at an index are distinct: the four copies of a word differ
+        for i in range(1, 1024):
+            assert len({row[i & 3] for row in TAGS}) == 4
+        # each family XORs to zero over every window centred on an even index
+        for i in range(2, 1023, 2):
+            for row in TAGS:
+                assert row[(i - 1) & 3] ^ row[i & 3] ^ row[(i + 1) & 3] == 0
+        # tags by residue of the index mod 4, rows A, B, C, D
         table = {
-            1: {"a": 0b00, "b": 0b10, "c": 0b11, "d": 0b01},
-            2: {"a": 0b01, "b": 0b00, "c": 0b11, "d": 0b10},
-            3: {"a": 0b01, "b": 0b10, "c": 0b00, "d": 0b11},
+            1: (0b00, 0b10, 0b11, 0b01),
+            2: (0b01, 0b00, 0b11, 0b10),
+            3: (0b01, 0b10, 0b00, 0b11),
         }
-        for residue, row in table.items():
-            for kind in ModifierKind:
-                assert modifier(kind, residue) == Word(row[kind.value], 2)
-                assert modifier(kind, residue + 8) == Word(row[kind.value], 2)
+        for residue, expected in table.items():
+            assert tuple(row[residue & 3] for row in TAGS) == expected
+            assert tuple(row[(residue + 8) & 3] for row in TAGS) == expected
 
 
 def test_criterion_5_splice_identities():

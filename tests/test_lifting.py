@@ -1,24 +1,11 @@
-from collections import Counter
-
 import pytest
 
 from ternaryperm.catalog import generate
-from ternaryperm.lifting import (
-    SPLICE_FIRST,
-    SPLICE_SECOND,
-    SPLICE_THIRD,
-    TAGS,
-    LiftLayoutEntry,
-    ModifierKind,
-    check_modifier_properties,
-    lift,
-    lift_layout,
-    modifier,
-)
+from ternaryperm.lifting import SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD, TAGS, lift, lift_place
 from ternaryperm.sequences import TernarySequence, verify
-from ternaryperm.words import Word, concat, zero
+from ternaryperm.words import Word, zero
 
-A, B, C, D = ModifierKind.A, ModifierKind.B, ModifierKind.C, ModifierKind.D
+A, B, C, D = TAGS
 
 # Tag values by residue of i mod 4; row order A, B, C, D.
 MODIFIER_TABLE = {
@@ -29,130 +16,131 @@ MODIFIER_TABLE = {
 }
 
 
+def tagged(i, row):
+    """What lift_place returns for source index i tagged by family row."""
+    return i, row[i & 3]
+
+
 class TestModifier:
-    @pytest.mark.parametrize("residue", (1, 2, 3, 0))
-    @pytest.mark.parametrize("period", (0, 1, 25))
-    def test_table(self, residue, period):
+    # indices start at 1, so period 0 has no residue 0
+    @pytest.mark.parametrize(
+        ("period", "residue"),
+        [(0, 1), (0, 2), (0, 3)] + [(p, r) for p in (1, 25) for r in (1, 2, 3, 0)],
+    )
+    def test_table(self, period, residue):
         i = residue + 4 * period
-        if i < 1:
-            pytest.skip("index starts at 1")
-        expected = MODIFIER_TABLE[residue]
-        for kind, bits in zip((A, B, C, D), expected):
-            assert modifier(kind, i) == Word(bits, 2)
+        assert tuple(row[i & 3] for row in TAGS) == MODIFIER_TABLE[residue]
 
     def test_first_index_row(self):
-        assert modifier(A, 1) == Word(0b00, 2)
-        assert modifier(B, 1) == Word(0b10, 2)
-        assert modifier(C, 1) == Word(0b11, 2)
-        assert modifier(D, 1) == Word(0b01, 2)
+        assert (A[1], B[1], C[1], D[1]) == (0b00, 0b10, 0b11, 0b01)
 
     def test_window_identity_at_i_2_family_a(self):
-        total = modifier(A, 1) ^ modifier(A, 2) ^ modifier(A, 3)
-        assert total == zero(2)
-
-    def test_rejects_nonpositive_index(self):
-        with pytest.raises(ValueError):
-            modifier(A, 0)
+        assert A[1] ^ A[2] ^ A[3] == 0
 
     def test_reads_the_tag_table(self):
-        for kind in ModifierKind:
-            for i in range(1, 9):
-                assert modifier(kind, i).bits == TAGS[kind][i % 4]
+        # block b of the output is tagged by TAGS[b] at the source index
+        for k in (7, 15):
+            for t in range(1, 4 * k + 4):
+                i, tag = lift_place(k, t)
+                if i:
+                    assert tag == TAGS[(t - 1) // (k + 1)][i % 4]
 
     def test_period_is_4(self):
-        for kind in ModifierKind:
-            for i in range(1, 50):
-                assert modifier(kind, i) == modifier(kind, i + 4)
-
-
-class TestModifierProperties:
-    def test_holds_at_small_k(self):
-        assert check_modifier_properties(7)
-        assert check_modifier_properties(31)
-
-    def test_holds_up_to_64(self):
-        for k in range(3, 65):
-            assert check_modifier_properties(k)
-
-    def test_rejects_k_below_3(self):
-        with pytest.raises(ValueError):
-            check_modifier_properties(2)
+        k = 63
+        tags = {}
+        for t in range(1, 4 * k + 4):
+            i, tag = lift_place(k, t)
+            if i:
+                tags[(t - 1) // (k + 1), i] = tag
+        for (family, i), tag in tags.items():
+            if i + 4 <= k:
+                assert tags[family, i + 4] == tag
 
 
 class TestLayoutEntries:
-    def test_entry_must_pick_one_source_form(self):
-        with pytest.raises(ValueError):
-            LiftLayoutEntry(1)
-        with pytest.raises(ValueError):
-            LiftLayoutEntry(1, v_index=1, kind=A, splice=SPLICE_FIRST)
-
     def test_rejects_bad_k(self):
         for k in (3, 6, 8, 14):
             with pytest.raises(ValueError):
-                lift_layout(k)
+                lift_place(k, 1)
+
+    def test_splices_close_the_first_three_blocks(self):
+        for k in (7, 15, 31):
+            assert lift_place(k, k + 1) == (0, 0b10) == (0, SPLICE_FIRST.bits)
+            assert lift_place(k, 2 * k + 2) == (0, 0b11) == (0, SPLICE_SECOND.bits)
+            assert lift_place(k, 3 * k + 3) == (0, 0b01) == (0, SPLICE_THIRD.bits)
 
     def test_length_is_4k_plus_3(self):
+        # positions 0 and 4k + 4 (and -1, 4k + 5) are refused
         for k in (7, 15, 31):
-            assert len(lift_layout(k)) == 4 * k + 3
+            placed = []
+            for t in range(-1, 4 * k + 6):
+                try:
+                    lift_place(k, t)
+                except ValueError:
+                    continue
+                placed.append(t)
+            assert placed == list(range(1, 4 * k + 4))
 
     def test_target_indices_run_in_order(self):
-        layout = lift_layout(7)
-        assert [e.target_index for e in layout] == list(range(1, 32))
+        # the source index at each output position 1 .. 31 of a 7-word lift
+        assert [lift_place(7, t)[0] for t in range(1, 32)] == [
+            7, 6, 5, 4, 3, 2, 1, 0,
+            1, 2, 3, 4, 5, 7, 6, 0,
+            6, 7, 5, 4, 3, 1, 2, 0,
+            2, 1, 3, 4, 5, 6, 7,
+        ]
 
     def test_k7_pinned_positions(self):
-        layout = {e.target_index: e for e in lift_layout(7)}
-        assert (layout[1].v_index, layout[1].kind) == (7, A)
-        assert (layout[7].v_index, layout[7].kind) == (1, A)
-        assert layout[8].splice == SPLICE_FIRST
-        assert (layout[9].v_index, layout[9].kind) == (1, B)
+        place = {t: lift_place(7, t) for t in range(1, 32)}
+        assert place[1] == tagged(7, A)
+        assert place[7] == tagged(1, A)
+        assert place[8] == (0, SPLICE_FIRST.bits)
+        assert place[9] == tagged(1, B)
         # the B block ends with the top source index before the one below it
-        assert (layout[14].v_index, layout[14].kind) == (7, B)
-        assert (layout[15].v_index, layout[15].kind) == (6, B)
-        assert layout[16].splice == SPLICE_SECOND
-        assert (layout[17].v_index, layout[17].kind) == (6, C)
-        assert (layout[18].v_index, layout[18].kind) == (7, C)
-        assert (layout[22].v_index, layout[22].kind) == (1, C)
-        assert (layout[23].v_index, layout[23].kind) == (2, C)
-        assert layout[24].splice == SPLICE_THIRD
-        assert (layout[25].v_index, layout[25].kind) == (2, D)
-        assert (layout[26].v_index, layout[26].kind) == (1, D)
-        assert (layout[31].v_index, layout[31].kind) == (7, D)
+        assert place[14] == tagged(7, B)
+        assert place[15] == tagged(6, B)
+        assert place[16] == (0, SPLICE_SECOND.bits)
+        assert place[17] == tagged(6, C)
+        assert place[18] == tagged(7, C)
+        assert place[22] == tagged(1, C)
+        assert place[23] == tagged(2, C)
+        assert place[24] == (0, SPLICE_THIRD.bits)
+        assert place[25] == tagged(2, D)
+        assert place[26] == tagged(1, D)
+        assert place[31] == tagged(7, D)
 
     @pytest.mark.parametrize("k", (7, 15, 31, 63))
     def test_layout_is_a_bijection(self, k):
-        layout = lift_layout(k)
-        tagged = [(e.v_index, e.kind) for e in layout if not e.is_splice]
-        splices = [e.splice for e in layout if e.is_splice]
-        assert len(tagged) == 4 * k
-        assert len(set(tagged)) == 4 * k
-        assert set(tagged) == {(v, kind) for v in range(1, k + 1) for kind in ModifierKind}
-        assert splices == [SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD]
+        places = [lift_place(k, t) for t in range(1, 4 * k + 4)]
+        # the four tags at an index differ, so (i, tag) names the family too
+        tagged_places = [p for p in places if p[0]]
+        splices = [tag for i, tag in places if not i]
+        assert len(tagged_places) == 4 * k
+        assert len(set(tagged_places)) == 4 * k
+        assert set(tagged_places) == {tagged(v, row) for v in range(1, k + 1) for row in TAGS}
+        assert splices == [SPLICE_FIRST.bits, SPLICE_SECOND.bits, SPLICE_THIRD.bits]
 
     @pytest.mark.parametrize("k", (7, 15))
     def test_even_windows_decompose(self, k):
         """Off-splice even windows reduce to a source triple plus a tag triple.
 
-        The three entries around any even position (splice centres aside)
+        The three positions around any even position (splice centres aside)
         carry one tag family; their source indices form {j-1, j, j+1} for
         an even j, so the source part inherits the input's own window
         condition, and the tag part XORs to zero on its own.
         """
-        layout = {e.target_index: e for e in lift_layout(k)}
         splice_centres = {k + 1, 2 * k + 2, 3 * k + 3}
         for t in range(2, 4 * k + 3, 2):
             if t in splice_centres:
                 continue
-            window = [layout[t - 1], layout[t], layout[t + 1]]
-            assert all(not e.is_splice for e in window)
-            kinds = {e.kind for e in window}
-            assert len(kinds) == 1
-            indices = sorted(e.v_index for e in window)
+            window = [lift_place(k, s) for s in (t - 1, t, t + 1)]
+            assert all(i for i, _ in window)
+            assert len({(s - 1) // (k + 1) for s in (t - 1, t, t + 1)}) == 1
+            indices = sorted(i for i, _ in window)
             j = indices[1]
             assert indices == [j - 1, j, j + 1]
             assert j % 2 == 0
-            kind = kinds.pop()
-            tags = [modifier(kind, e.v_index).bits for e in window]
-            assert tags[0] ^ tags[1] ^ tags[2] == 0
+            assert window[0][1] ^ window[1][1] ^ window[2][1] == 0
 
 
 class TestLift:
@@ -186,19 +174,6 @@ class TestLift:
             )
             assert triple == zero(7)
 
-    def test_output_multiset_is_tagged_copies_plus_splices(self, base5):
-        out = lift(base5)
-        z = zero(5)
-        expected = Counter(
-            concat(base5.words[i - 1], modifier(kind, i))
-            for i in range(1, 32)
-            for kind in ModifierKind
-        )
-        expected.update(
-            [concat(z, SPLICE_FIRST), concat(z, SPLICE_SECOND), concat(z, SPLICE_THIRD)]
-        )
-        assert Counter(out.words) == expected
-
     def test_double_lift_reaches_dim9(self, base5):
         out = lift(lift(base5))
         assert out.dim == 9
@@ -209,28 +184,24 @@ class TestLift:
         # source part and tag part of every off-splice even window each
         # XOR to zero on their own, not just after concatenation
         k = 31
-        layout = {e.target_index: e for e in lift_layout(k)}
         splice_centres = {k + 1, 2 * k + 2, 3 * k + 3}
         for t in range(2, 4 * k + 3, 2):
             if t in splice_centres:
                 continue
-            window = [layout[t - 1], layout[t], layout[t + 1]]
-            sources = [base5.words[e.v_index - 1] for e in window]
+            window = [lift_place(k, s) for s in (t - 1, t, t + 1)]
+            sources = [base5.words[i - 1] for i, _ in window]
             assert sources[0] ^ sources[1] ^ sources[2] == zero(5)
-            tags = [modifier(e.kind, e.v_index) for e in window]
+            tags = [Word(tag, 2) for _, tag in window]
             assert tags[0] ^ tags[1] ^ tags[2] == zero(2)
 
 
 def layout_walk(seq):
-    """The lift as one lift_layout row per output word, the slow way."""
-    out = []
-    for entry in lift_layout(len(seq)):
-        if entry.is_splice:
-            out.append(concat(zero(seq.dim), entry.splice).bits)
-        else:
-            tag = modifier(entry.kind, entry.v_index)
-            out.append(concat(seq.words[entry.v_index - 1], tag).bits)
-    return tuple(out)
+    """The lift as one lift_place call per output word, the slow way."""
+    k = len(seq)
+    return tuple(
+        (seq.decimals[i - 1] if i else 0) << 2 | tag
+        for i, tag in (lift_place(k, t) for t in range(1, 4 * k + 4))
+    )
 
 
 @pytest.mark.parametrize("dim", range(5, 15))

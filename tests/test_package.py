@@ -1,4 +1,6 @@
 import importlib
+import re
+from pathlib import Path
 
 import ternaryperm
 
@@ -13,8 +15,7 @@ PUBLIC = {
     # sequences
     "TernarySequence", "VerificationFailure", "VerificationReport", "verify",
     # lifting
-    "LiftLayoutEntry", "ModifierKind", "check_modifier_properties", "lift", "lift_layout",
-    "modifier",
+    "lift", "lift_place",
     # search
     "MAX_SEARCH_DIM", "BudgetExhaustedError", "ImpossibilityCertificate", "SearchConfig",
     "SearchMode", "SearchOutcome", "canonical_prefix", "lemma_n3", "naive_count",
@@ -32,7 +33,7 @@ def module(name):
 
 
 def test_package_exports_the_pinned_names_once():
-    assert len(PUBLIC) == 46
+    assert len(PUBLIC) == 42
     assert set(ternaryperm.__all__) == PUBLIC
     assert len(ternaryperm.__all__) == len(PUBLIC)
 
@@ -62,3 +63,11 @@ def test_star_import_binds_exactly_the_public_names():
     del namespace["__builtins__"]
     assert set(namespace) == PUBLIC
     assert namespace["__version__"] == ternaryperm.__version__
+
+
+def test_readme_python_examples_run():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
