@@ -17,6 +17,7 @@ __all__ = [
 import random
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 from itertools import permutations
 from math import inf
 from typing import Optional
@@ -34,9 +35,6 @@ DEFAULT_FIRST_MODE_BUDGET = 10**9
 #: search_randomized's tuning: shuffle attempts, node budget per attempt.
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
-
-#: The dead-subtree memo is emptied when it reaches this many entries (about 3 MB).
-_MEMO_CAP = 1 << 15
 
 
 class SearchMode(Enum):
@@ -82,13 +80,14 @@ class SearchOutcome:
     nodes_explored counts candidate assignments attempted at open slots,
     including ones whose forced follower immediately collided; candidates
     skipped because their word was already in use are not assignments.
-    Some candidates are counted in bulk rather than one at a time: those
-    of a slot where none fits, of a second-to-last slot that holds no
-    solution, and of a slot whose solution-free subtree the search has
-    already finished after another prefix (the memo), are added without
-    the slot being entered.  The total is the same as one candidate at a
-    time, so nodes per second counts these credited nodes too.  Fields
-    other than the one matching the mode stay None.
+    Many are counted in bulk rather than one at a time: those of a slot
+    where none fits and of a second-to-last slot that holds no solution
+    are added without the slot being entered, and the top three open
+    slots are walked once, under (1, 2, 4), with that subtree's count and
+    nodes scaled by the number of openings that lead to a copy of it
+    (see search).  The total is the same as one candidate at a time, so
+    nodes per second counts these credited nodes too.  Fields other than
+    the one matching the mode stay None.
     """
 
     dim: int
@@ -183,7 +182,6 @@ def _explore(
     prefix: tuple[int, ...] = (),
     node_budget: Optional[int] = None,
     orders: Optional[list[list[int]]] = None,
-    memo: Optional[dict[int, int]] = None,
 ):
     """Depth-first scan of every ternary permutation extending `prefix`.
 
@@ -199,7 +197,8 @@ def _explore(
     collides; candidates whose word is already in use do not count.  Going
     past node_budget raises BudgetExhaustedError(node_budget + 1).  Stops
     at the first solution except in count mode.  Returns (first solution
-    as decimals or None, solution count so far, nodes).
+    as decimals or None, solution count so far, nodes).  search walks
+    only the subtree under (1, 2, 4) with it and scales the result.
 
     A slot works on two bitmasks, not candidate by candidate: free holds
     the unused words and ok those of them whose forced follower (the word
@@ -226,29 +225,7 @@ def _explore(
     not checked after these two adds: nodes only grow, and the next add,
     which comes before any solution is recorded or any result returned,
     is checked and raises the same error.
-
-    memo maps the state of a finished, solution-free subtree to its
-    nodes, and a next slot whose state is in it is counted in place too.
-    A slot's subtree depends only on the words still free there and on
-    the word before it (how many words are used fixes the slot), so the
-    key is nfree << dim | c.  An entry is made on backing out of an
-    entered slot whose subtree added nothing to count; in first and
-    prove_none modes that is every slot backed out of, since a solution
-    returns at once.  Such a subtree was traversed in full, so, as for
-    the two adds above, its nodes depend on its state alone, not on the
-    mode, the candidate order, the prefix or the budget, and crediting
-    them gives the count, nodes, first solution and budget error of a
-    slot by slot scan; the credit goes unchecked against the budget for
-    the same reason as those adds.  An entry thus holds for any later call
-    at the same dimension: a call may be handed the memo of earlier calls
-    at its dimension, never one of another dimension, and None gives it a
-    fresh one.  Swapping the first two words, for one, reaches the same
-    state at slot 2.  Values are plain ints, which the garbage collector
-    does not scan, and the memo is emptied when it reaches _MEMO_CAP
-    entries, which bounds its memory and changes no result.
     """
-    if memo is None:
-        memo = {}
     size = (1 << dim) - 1
     free_pos = _free_positions(dim)
     n_free = len(free_pos)
@@ -268,9 +245,6 @@ def _explore(
     free_left = [0] * n_free  # per entered slot: free candidates not tried yet
     ok_left = [0] * n_free  # per entered slot: assignable candidates not tried yet
     und = [0] * n_free  # bits to give back to avail when a slot's assignment is undone
-    key_in = [0] * n_free  # per entered slot: its memo key
-    nodes_in = [0] * n_free  # per entered slot: nodes and count when it was entered
-    count_in = [0] * n_free
     last = n_free - 1
     pen = n_free - 2  # the second-to-last slot
     # Slot d sits at position p, after the word prev; avail holds every
@@ -285,7 +259,6 @@ def _explore(
         t = ((t >> s) & lo) | ((t & lo) << s)
     free = avail
     ok = avail & t
-    key_in[d] = avail << dim | prev
     while True:
         if orders is not None:  # slot d was just entered
             order = orders[d - start]
@@ -296,10 +269,6 @@ def _explore(
                 nodes += free.bit_count()
                 if nodes > budget:
                     raise BudgetExhaustedError(node_budget + 1)
-                if count == count_in[d]:  # slot d's subtree holds no solution
-                    if len(memo) >= _MEMO_CAP:
-                        memo.clear()
-                    memo[key_in[d]] = nodes - nodes_in[d]
                 d -= 1
                 if d < start:
                     return first, count, nodes
@@ -345,11 +314,6 @@ def _explore(
                 if nok.bit_count() != 2 or not nok >> x & 1:  # holds no solution
                     nodes += nfree.bit_count() + 2 * nok.bit_count()
                     continue
-            key = nfree << dim | c
-            seen = memo.get(key)
-            if seen is not None:  # finished before, without a solution
-                nodes += seen
-                continue
             break
         seq[p] = w
         seq[p + 1] = c  # at position 1, a placeholder that slot 1 overwrites
@@ -358,9 +322,6 @@ def _explore(
         free_left[d] = free
         ok_left[d] = ok
         d += 1
-        key_in[d] = key
-        nodes_in[d] = nodes
-        count_in[d] = count
         p = free_pos[d]
         prev = c
         free = nfree
@@ -386,6 +347,58 @@ def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: in
     )
 
 
+def _symmetric_top(config: SearchConfig, budget: Optional[int], walk) -> SearchOutcome:
+    """The whole tree's outcome from one walk of the subtree under (1, 2, 4).
+
+    walk(prefix, node_budget) returns what _explore returns for it.
+
+    Why this is exact: the defining conditions are XOR equations, so a
+    map g in GL(n,2) is an isomorphism of search trees, mapping the used
+    words, the free words and the forced followers onto each other.  The
+    tree does not depend on candidate order (see _explore), so a full
+    traversal below an opening and below its image under g gives the same
+    count and nodes.  With N = 2**n - 1, slot 0 has N candidates, and
+    GL(n,2) is transitive on nonzero words.  Slot 1 follows a; its N - 1
+    candidates are all assignable, and the stabiliser of a is transitive
+    on them.  Slot 2 follows a, b, a ^ b; its N - 3 candidates all lie
+    outside span{a, b} and are all assignable, and the pointwise
+    stabiliser of that span is transitive on them.  So the three slots
+    cost N + N(N - 1) + N(N - 1)(N - 3) nodes, and each of the
+    N(N - 1)(N - 3) openings leads to a copy of the subtree under
+    (1, 2, 4).  Reduced, slots 0 and 1 hold the pinned (1, 2) at no cost
+    and N - 3 copies remain, so a reduced count still counts exactly the
+    sequences opening with (1, 2).  At dimension 2 the first two slots
+    are all there is.
+
+    If the subtree stops at a solution (first mode, or prove_none when one
+    exists), an ascending scan stops there too, on its first free candidate
+    at each top slot: the nodes are that path, one per unpinned top slot,
+    plus the subtree's.  The subtree gets the budget less the path;
+    running out there, or a total past the budget, raises
+    BudgetExhaustedError(budget + 1), as the scan's checked adds do.
+    """
+    size = (1 << config.dim) - 1
+    depth = min(3, len(_free_positions(config.dim)))
+    orbits = (size, size - 1, size - 3)[2 if config.symmetry_reduction else 0 : depth]
+    path = len(orbits)
+    try:
+        first, count, nodes = walk((1, 2, 4)[:depth], None if budget is None else budget - path)
+    except BudgetExhaustedError:
+        raise BudgetExhaustedError(budget + 1) from None
+    if count and config.mode is not SearchMode.COUNT:
+        nodes += path
+    else:
+        copies, top = 1, 0
+        for orbit in orbits:
+            copies *= orbit
+            top += copies
+        count *= copies
+        nodes = top + copies * nodes
+    if budget is not None and nodes > budget:
+        raise BudgetExhaustedError(budget + 1)
+    return _outcome(config, first, count, nodes)
+
+
 def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search to completion (or budget exhaustion).
 
@@ -393,44 +406,28 @@ def search(config: SearchConfig) -> SearchOutcome:
     order, or none after exhausting the space; count returns the exact
     number of solutions found (of the reduced space when reduction is
     on); prove_none reports True only after a full traversal finds
-    nothing, and short-circuits to False on the first solution.
+    nothing, and short-circuits to False on the first solution.  The
+    kernel walks only the subtree under (1, 2, 4) and scales its count
+    and nodes by the number of openings that lead to a copy of it (see
+    _symmetric_top); every answer and node total is the one a scan of
+    the whole tree gives.
     """
-    prefix = _reduction_prefix(config.dim, config.symmetry_reduction)
     budget = config.node_budget
     if budget is None and config.mode is SearchMode.FIRST and config.dim >= 5:
         budget = DEFAULT_FIRST_MODE_BUDGET
-    return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
-
-
-#: In a search_parallel worker, the memo every subtree task it runs shares.
-_worker_memo: Optional[dict[int, int]] = None
-
-
-def _start_worker() -> None:
-    """Give a worker process an empty memo; each pool searches one dimension."""
-    global _worker_memo
-    _worker_memo = {}
-
-
-def _subtree_task(args: tuple[int, str, tuple[int, ...]]) -> tuple[int, int]:
-    dim, mode_value, prefix = args
-    _, count, nodes = _explore(dim, SearchMode(mode_value), prefix, memo=_worker_memo)
-    return count, nodes
+    return _symmetric_top(config, budget, partial(_explore, config.dim, config.mode))
 
 
 def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
-    """Split the first open slot's candidates across worker processes.
+    """Split the open slot below (1, 2, 4) across worker processes.
 
     Only count and prove_none run here: their per-subtree results merge
-    by plain addition, so completion order does not matter.  first mode
-    stays sequential to keep its smallest-solution guarantee.  Node
-    totals match the sequential search exactly, except that prove_none
-    workers cannot short-circuit each other, so when solutions exist the
-    parallel total may be higher.  Each worker keeps one memo (see
-    _explore) for all the subtree tasks it runs, so a state that two of
-    its tasks reach, such as the one after (a, b) in one and (b, a) in
-    the other, is traversed once there.  Like the sequential memo, it
-    changes no count or node total.
+    by plain addition, so completion order does not matter, and the sum
+    is scaled as search scales its one walk.  first mode stays sequential
+    to keep its smallest-solution guarantee.  Node totals match the
+    sequential search exactly, except that prove_none workers cannot
+    short-circuit each other, so when solutions exist the parallel total
+    may be higher.
     """
     if config.mode is SearchMode.FIRST:
         raise ValueError("first mode is sequential; use search()")
@@ -438,26 +435,25 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
         raise ValueError("node budgets do not split across workers; run sequentially")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    base = _reduction_prefix(config.dim, config.symmetry_reduction)
-    size = (1 << config.dim) - 1
-    applied = _apply_prefix(config.dim, base)
-    if applied is None:  # unreachable for the fixed (1, 2) prefix
-        raise RuntimeError("reduction prefix is inconsistent")
-    _, used = applied
-    candidates = [c for c in range(1, size + 1) if not (used >> c) & 1]
-    tasks = [(config.dim, config.mode.value, base + (c,)) for c in candidates]
-    if not tasks:  # the prefix fills every slot (dimension 2, reduced): nothing to split
-        return search(config)
-    # imported here: it pulls in multiprocessing, which no other command needs
-    from concurrent.futures import ProcessPoolExecutor
 
-    n_workers = min(workers, len(tasks))
-    with ProcessPoolExecutor(max_workers=n_workers, initializer=_start_worker) as pool:
-        results = list(pool.map(_subtree_task, tasks))
-    count = sum(c for c, _ in results)
-    # each split candidate is itself one attempted assignment
-    nodes = len(tasks) + sum(n for _, n in results)
-    return _outcome(config, None, count, nodes)
+    def split(prefix: tuple[int, ...], _budget: None) -> tuple[None, int, int]:
+        _, used = _apply_prefix(config.dim, prefix)
+        candidates = [prefix + (c,) for c in range(1, 1 << config.dim) if not used >> c & 1]
+        if not candidates:  # the prefix fills every slot (dimension 2): nothing to split
+            return _explore(config.dim, config.mode, prefix)
+        # a candidate whose follower collides is one node, with no subtree to hand out
+        tasks = [p for p in candidates if _apply_prefix(config.dim, p)]
+        results = []
+        if tasks:
+            # imported here: it pulls in multiprocessing, which no other command needs
+            from concurrent.futures import ProcessPoolExecutor
+
+            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
+                results = list(pool.map(partial(_explore, config.dim, config.mode), tasks))
+        # each split candidate is itself one attempted assignment
+        return None, sum(r[1] for r in results), len(candidates) + sum(r[2] for r in results)
+
+    return _symmetric_top(config, None, split)
 
 
 def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
@@ -556,7 +552,9 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
 
     Runs the reduced search to completion; at dimension 3, where the
     space is tiny, an unreduced traversal and the XOR-sum lemma are run
-    as cross-checks and recorded in the certificate.
+    as cross-checks and recorded in the certificate.  The traversal is a
+    raw kernel walk of the whole tree, not a search(): that would rest on
+    the same symmetry argument it is meant to check.
     """
     if dim not in (3, 4):
         raise ValueError(f"exhaustive impossibility runs cover dimensions 3 and 4, got {dim}")
@@ -564,10 +562,9 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
     cross_nodes = None
     lemma = None
     if dim == 3:
-        unreduced = search(SearchConfig(dim=dim, mode=SearchMode.PROVE_NONE))
-        if unreduced.nonexistent != reduced.nonexistent:  # soundness tripwire
+        _, count, cross_nodes = _explore(dim, SearchMode.PROVE_NONE, ())
+        if (count == 0) != reduced.nonexistent:  # soundness tripwire
             raise RuntimeError("reduced and unreduced searches disagree")
-        cross_nodes = unreduced.nodes_explored
         lemma = lemma_n3()
     return ImpossibilityCertificate(
         dim=dim,

@@ -102,7 +102,7 @@ class TernarySequence:
         if dim < 2:
             raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
         if dim > MAX_DIM:
-            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+            raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
         object.__setattr__(self, "dim", dim)
         object.__setattr__(self, "decimals", decimals)
         object.__setattr__(self, "_words", words)

@@ -1,4 +1,3 @@
-import functools
 import importlib
 import random
 
@@ -308,73 +307,106 @@ class TestKernelOracle:
                     assert _explore(5, mode, prefix, orders=orders) == expected
                     assert expected[1] > 0
 
-
-class WatchedMemo(dict):
-    """A memo that counts its hits and clears and keeps its largest size."""
-
-    hits = clears = largest = 0
-
-    def get(self, key, default=None):
-        value = super().get(key, default)
-        self.hits += value is not None
-        return value
-
-    def __setitem__(self, key, value):
-        super().__setitem__(key, value)
-        self.largest = max(self.largest, len(self))
-
-    def clear(self):
-        self.clears += 1
-        super().clear()
-
-
-class TestMemo:
-    """The dead-subtree memo changes how nodes are counted, never the result."""
-
-    def test_one_memo_across_calls_agrees_with_the_reference(self):
-        rng = random.Random(23)
-        for dim, lengths in ((3, (0, 1, 2)), (4, (2, 3, 5)), (5, (9, 11))):
-            memo = WatchedMemo()
-            explore = functools.partial(_explore, memo=memo)
-            for _ in range(10):
-                drawn = random_valid_prefix(rng, dim, rng.choice(lengths))
-                # (a, b, ...) and (b, a, ...) leave the same state at slot 2
-                for prefix in dict.fromkeys((drawn, drawn[1::-1] + drawn[2:])):
-                    mode = rng.choice(list(SearchMode))
-                    orders = shuffled_orders(rng, dim, len(prefix)) if rng.random() < 0.5 else None
-                    _, _, nodes = reference_explore(dim, SearchMode.COUNT, prefix, orders=orders)
-                    budget = rng.choice((None, rng.randint(1, nodes + 1)))
-                    expected = budgeted(reference_explore, dim, mode, prefix, budget, orders)
-                    assert budgeted(explore, dim, mode, prefix, budget, orders) == expected
-            assert memo.hits > 0
-
-    def test_a_small_cap_changes_no_result(self, monkeypatch):
-        monkeypatch.setattr(importlib.import_module("ternaryperm.search"), "_MEMO_CAP", 64)
-        memo = WatchedMemo()
-        assert _explore(4, SearchMode.COUNT, (), memo=memo) == (None, 0, 1963305)
-        assert memo.clears > 0 and memo.largest <= 64
-        memo = WatchedMemo()
-        assert _explore(4, SearchMode.PROVE_NONE, (1, 2), memo=memo) == (None, 0, 9348)
-        assert memo.clears > 0 and memo.largest <= 64
-        memo = WatchedMemo()
-        assert _explore(5, SearchMode.FIRST, (1, 2), memo=memo) == (BASE5_DECIMALS, 1, 3403049)
-        assert memo.clears > 0 and memo.largest <= 64
-
-    def test_the_n4_count_fits_under_the_cap(self):
-        memo = WatchedMemo()
-        _explore(4, SearchMode.COUNT, (), memo=memo)
-        # every slot the tree enters, its first included, holds no solution
-        assert len(memo) == 26581 and memo.clears == 0
-        assert len(memo) < importlib.import_module("ternaryperm.search")._MEMO_CAP
-
     @pytest.mark.slow
-    def test_count_that_overflows_the_cap_with_solutions_present(self):
+    def test_unreduced_count_under_a_five_word_prefix(self):
         # 3,416 GL(5,2) normal forms under this prefix, times the 16 maps
-        # that fix 1, 2, 4 and 8 (ROADMAP item 1's cross-check)
-        memo = WatchedMemo()
-        _, count, nodes = _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5), memo=memo)
-        assert (count, nodes) == (54656, 48145634)
-        assert memo.clears > 0
+        # that fix 1, 2, 4 and 8 (ROADMAP item 1's cross-check); the smallest
+        # solution lies under this prefix too
+        expected = (BASE5_DECIMALS, 54656, 48145634)
+        assert _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == expected
+
+
+class TestSymmetricTop:
+    """search walks the subtree under (1, 2, 4) once and scales it by its GL(n,2) orbit."""
+
+    @pytest.fixture
+    def top(self, monkeypatch):
+        """search's (first, count, nodes) as _explore returns them, or its budget error's nodes."""
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_outcome", lambda config, *result: result)
+
+        def call(dim, mode, prefix, budget=None):
+            config = SearchConfig(dim, mode, symmetry_reduction=bool(prefix), node_budget=budget)
+            try:
+                return search(config)
+            except BudgetExhaustedError as exc:
+                return exc.nodes_explored
+
+        return call
+
+    @pytest.mark.parametrize("reduce", [False, True])
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_matches_the_raw_kernel_and_the_reference(self, top, dim, mode, reduce):
+        prefix = _reduction_prefix(dim, reduce)
+        expected = _explore(dim, mode, prefix)
+        assert top(dim, mode, prefix) == expected
+        # TestKernelOracle already holds the raw kernel to the reference on
+        # the unreduced n = 4 tree, whose per-candidate walk takes seconds
+        if (dim, reduce) != (4, False):
+            assert expected == reference_explore(dim, mode, prefix)
+
+    def test_the_walked_subtree_scales_to_the_pinned_totals(self, top):
+        assert _explore(4, SearchMode.COUNT, (1, 2, 4)) == (None, 0, 778)
+        # 12 + 12 * 778 reduced; 15 + 15 * 14 + 15 * 14 * 12 * (1 + 778) unreduced
+        assert top(4, SearchMode.COUNT, (1, 2)) == (None, 0, 9348)
+        assert top(4, SearchMode.COUNT, ()) == (None, 0, 1963305)
+        assert _explore(3, SearchMode.COUNT, (1, 2, 4)) == (None, 0, 2)
+        assert top(3, SearchMode.COUNT, (1, 2)) == (None, 0, 12)
+        assert top(3, SearchMode.COUNT, ()) == (None, 0, 553)
+        # (1, 2) fills both slots at dimension 2: 3 + 3 * 2 nodes, 3 * 2 solutions
+        assert top(2, SearchMode.COUNT, ()) == ((1, 2, 3), 6, 9)
+        assert top(2, SearchMode.FIRST, ()) == ((1, 2, 3), 1, 2)
+
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    @pytest.mark.parametrize("dim,reduce", [(2, False), (2, True), (3, False), (3, True)])
+    def test_every_budget_stops_where_the_raw_kernel_does(self, top, dim, mode, reduce):
+        prefix = _reduction_prefix(dim, reduce)
+        _, _, nodes = _explore(dim, SearchMode.COUNT, prefix)
+        for budget in range(1, nodes + 2):
+            assert top(dim, mode, prefix, budget) == budgeted(_explore, dim, mode, prefix, budget)
+
+    def test_every_budget_on_the_reduced_n4_tree(self, top):
+        # The tree holds no solution, so the raw kernel raises on node
+        # budget + 1 below 9,348 nodes and returns from there on: checked on
+        # the raw kernel at a seeded sample of budgets (each walks up to
+        # 9,348 nodes) and on search at every budget.
+        def expected(budget):
+            return budget + 1 if budget < 9348 else (None, 0, 9348)
+
+        rng = random.Random(29)
+        for budget in [1, 2, 12, 13, 9347, 9348, 9349] + rng.sample(range(1, 9349), 20):
+            assert budgeted(_explore, 4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
+        for budget in range(1, 9350):
+            assert top(4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
+
+    def test_every_budget_when_the_walk_stops_at_a_solution(self, top, monkeypatch):
+        # The walk under (1, 2, 4) stands in for the deep dimension-5 subtree,
+        # whose first solution comes after a few dozen nodes; the scan's total
+        # is the path through the top slots plus those.
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_explore", lambda dim, mode, prefix, budget: (
+            _explore(dim, mode, DEEP_DIM5_PREFIX, budget)))
+        first, count, nodes = _explore(5, SearchMode.FIRST, DEEP_DIM5_PREFIX)
+        assert count == 1 and nodes > 1
+        for prefix, path in (((), 3), ((1, 2), 1)):
+            for mode in (SearchMode.FIRST, SearchMode.PROVE_NONE):
+                for budget in range(1, path + nodes + 2):
+                    expected = budget + 1 if budget < path + nodes else (first, 1, path + nodes)
+                    assert top(5, mode, prefix, budget) == expected
+
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize(
+        "mode,reduce",
+        [
+            (SearchMode.COUNT, False), (SearchMode.COUNT, True),
+            (SearchMode.PROVE_NONE, False), (SearchMode.PROVE_NONE, True),
+        ],
+    )
+    def test_parallel_matches_search(self, mode, reduce, workers):
+        for dim in (2, 3, 4):
+            config = SearchConfig(dim=dim, mode=mode, symmetry_reduction=reduce)
+            assert search_parallel(config, workers=workers) == search(config)
 
 
 class TestBudget:
@@ -402,17 +434,6 @@ class TestParallel:
         )
         assert parallel.nonexistent is True
         assert parallel.nodes_explored == sequential.nodes_explored
-
-    @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "mode,reduce",
-        [(SearchMode.COUNT, False), (SearchMode.PROVE_NONE, False), (SearchMode.PROVE_NONE, True)],
-    )
-    def test_dim4_nodes_match_sequential_with_per_worker_memos(self, mode, reduce, workers):
-        sequential = run(4, mode, reduce=reduce)
-        config = SearchConfig(dim=4, mode=mode, symmetry_reduction=reduce)
-        parallel = search_parallel(config, workers=workers)
-        assert parallel == sequential
 
     def test_first_mode_rejected(self):
         with pytest.raises(ValueError):
@@ -489,6 +510,20 @@ class TestImpossibility:
         assert "dim=3" in text
         assert "nonexistent=true" in text
         assert "verifier_version=" in text
+
+    def test_dim3_cross_check_is_a_raw_unreduced_walk(self, monkeypatch):
+        # through search() it would rest on the symmetry argument it checks
+        module = importlib.import_module("ternaryperm.search")
+        prefixes = []
+
+        def watched(dim, mode, prefix=(), *args):
+            prefixes.append(prefix)
+            return _explore(dim, mode, prefix, *args)
+
+        monkeypatch.setattr(module, "_explore", watched)
+        cert = prove_impossibility(3)
+        assert sorted(prefixes) == [(), (1, 2, 4)]
+        assert (cert.nodes_explored, cert.cross_check_unreduced_nodes) == (12, 553)
 
     def test_dim4_certificate(self):
         cert = prove_impossibility(4)

@@ -38,12 +38,12 @@ class TestSequenceType:
     @pytest.mark.parametrize("dim", (31, 40))
     def test_empty_sequences_refuse_dimensions_past_the_cap(self, dim):
         for build in (TernarySequence, TernarySequence.from_decimals):
-            with pytest.raises(ValueError, match=f"dimension must be in \\[1, 30\\], got {dim}"):
+            with pytest.raises(ValueError, match=f"dimension must be in \\[2, 30\\], got {dim}"):
                 build(dim, ())
         assert seq(30, ()).dim == 30
 
     def test_nonempty_input_keeps_its_messages(self):
-        with pytest.raises(ValueError, match=r"dimension must be in \[1, 30\], got 40"):
+        with pytest.raises(ValueError, match=r"dimension must be in \[2, 30\], got 40"):
             seq(40, (1, 2, 3))
         with pytest.raises(ValueError, match="bits 4 out of range for dimension 2"):
             seq(2, (1, 2, 4))
