@@ -9,7 +9,7 @@ with a dedicated error.
 from __future__ import annotations
 
 __all__ = [
-    "BASE_DIMS", "BaseCaseEntry", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
+    "BASE_DIMS", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
     "ParseError", "construction_route", "default_store", "exists", "format_sequence", "generate",
     "load", "parse_sequence_text", "save",
 ]
@@ -22,16 +22,12 @@ from pathlib import Path
 from typing import IO, Optional, Union
 
 from .lifting import lift
-from .search import SearchConfig, SearchMode, search, search_randomized
+from .search import SearchConfig, search, search_randomized
 from .sequences import TernarySequence, VerificationReport, le_bytes, le_values, verify
 from .words import MAX_DIM
 
 BASE_DIMS = (2, 5, 6)
-FIXTURE_ENV_VAR = "TERNARYPERM_BASECASE_DIR"
 FORMATS = ("decimal", "binary")
-
-#: The unique-up-to-symmetry starting point: 1 XOR 2 XOR 3 = 0.
-_BASE_2 = (1, 2, 3)
 
 #: Peak memory of `gen --dim n` per word of the sequence, about 135 bytes:
 #: the growth of peak RSS per word added, measured from n = 16 to 18 and
@@ -400,19 +396,23 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
     umask default.  A symlink is followed, so the rename replaces its
     target.  An existing target that is not a regular file, such as a
     FIFO or a device, is written in place: replacing it would cut off
-    whoever reads from it.
+    whoever reads from it.  When the temporary file cannot be created,
+    the error names path, not the temporary file.
     """
-    path = Path(os.path.realpath(path))
+    real = Path(os.path.realpath(path))
     try:
-        old = path.stat()
+        old = real.stat()
     except FileNotFoundError:
         old = None  # a new file
     if old is not None and not stat.S_ISREG(old.st_mode):
-        with open(path, "w") as handle:
+        with open(real, "w") as handle:
             handle.write(text)
         return
-    tmp = path.with_name(f".{path.name}.{os.urandom(4).hex()}.tmp")
-    handle = open(tmp, "x")
+    tmp = real.with_name(f".{real.name}.{os.urandom(4).hex()}.tmp")
+    try:
+        handle = open(tmp, "x")
+    except OSError as exc:  # a missing or unwritable directory
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with handle:
             if old is not None:
@@ -422,7 +422,7 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
                     pass
                 os.chmod(tmp, stat.S_IMODE(old.st_mode))
             handle.write(text)
-        os.replace(tmp, path)
+        os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
@@ -431,82 +431,51 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
 # ---------------------------------------------------------------------------
 # base cases
 
-@dataclass(frozen=True)
-class BaseCaseEntry:
-    sequence: TernarySequence
-    source: str  # "built-in" | "fixture" | "searched"
-
-
 class BaseCaseStore:
-    """Verified starting sequences for dimensions 2, 5 and 6.
+    """Verified starting sequences for dimensions 2, 5 and 6, by one rule.
 
-    Dimension 2 is hardwired.  5 and 6 load from <fixture_dir>/<dim>.txt
-    when present and are searched on demand otherwise: dimension 5 with
-    the plain ascending search (its first solution doubles as the frozen
-    fixture), dimension 6 with the seeded shuffled order, because the
-    ascending order's first solution there is out of practical reach.
-    Both on-demand paths are deterministic, so a rebuilt entry matches
-    the committed fixture.  Every entry is verified before it is handed
-    out.  Reads of existing entries are lock-free; inserts serialize
-    behind one lock.
+    Each is <fixture_dir>/<dim>.txt when that file exists, and otherwise
+    the package's own deterministic search: the ascending search with
+    (1, 2) pinned for 2 and 5 (its first solution is the frozen fixture),
+    and search_randomized(6, seed=0) for 6, because the ascending order's
+    first solution there is out of practical reach.  The packaged
+    fixtures are those searches' answers, so a store over an empty
+    directory hands out the same sequences.  Each is verified, found once
+    per store and cached; reads of cached ones are lock-free, and finding
+    one serializes behind one lock.
     """
 
     def __init__(self, fixture_dir: Union[str, Path, None] = None):
         if fixture_dir is None:
-            fixture_dir = os.environ.get(FIXTURE_ENV_VAR) or Path(__file__).parent / "basecases"
+            fixture_dir = Path(__file__).parent / "basecases"
         self.fixture_dir = Path(fixture_dir)
-        self._entries: dict[int, BaseCaseEntry] = {}
+        self._found: dict[int, TernarySequence] = {}
         self._lock = threading.Lock()
 
     def get(self, dim: int) -> TernarySequence:
-        return self.entry(dim).sequence
-
-    def entry(self, dim: int) -> BaseCaseEntry:
-        found = self._entries.get(dim)
-        if found is None:
-            found = self._insert(dim)
-        return found
-
-    def _insert(self, dim: int) -> BaseCaseEntry:
+        found = self._found.get(dim)
+        if found is not None:
+            return found
         if dim not in BASE_DIMS:
             raise ValueError(f"base cases exist for dimensions {BASE_DIMS}, got {dim}")
         with self._lock:
-            if dim in self._entries:
-                return self._entries[dim]
-            if dim == 2:
-                seq: TernarySequence = TernarySequence.from_decimals(2, _BASE_2)
-                source = "built-in"
-            else:
-                path = self.fixture_dir / f"{dim}.txt"
-                if path.is_file():
-                    result = load(path)
-                    if result.sequence.dim != dim:
-                        raise ValueError(
-                            f"fixture {path} holds dimension {result.sequence.dim}, expected {dim}"
-                        )
-                    if not result.report.valid:
-                        raise ValueError(
-                            f"fixture {path} is not a ternary permutation: {result.report.failure}"
-                        )
-                    seq = result.sequence
-                    source = "fixture"
-                else:
-                    if dim == 5:
-                        outcome = search(
-                            SearchConfig(dim=dim, mode=SearchMode.FIRST, symmetry_reduction=True)
-                        )
-                    else:
-                        outcome = search_randomized(dim, seed=0)
-                    if outcome.sequence is None:  # unreachable: dims 5 and 6 have solutions
-                        raise RuntimeError(f"search found no base case for dimension {dim}")
-                    seq = outcome.sequence
-                    source = "searched"
-            report = verify(seq)
-            if not report.valid:
-                raise RuntimeError(f"base case for dimension {dim} is invalid: {report.failure}")
-            entry = BaseCaseEntry(seq, source)
-            self._entries[dim] = entry
-            return entry
+            if dim not in self._found:
+                self._found[dim] = self._find(dim)
+            return self._found[dim]
+
+    def _find(self, dim: int) -> TernarySequence:
+        path = self.fixture_dir / f"{dim}.txt"
+        if not path.is_file():  # both searches verify what they return
+            if dim == 6:
+                return search_randomized(dim, seed=0).sequence
+            return search(SearchConfig(dim, symmetry_reduction=True)).sequence
+        result = load(path)
+        seq, report = result.sequence, result.report
+        if seq.dim != dim:
+            raise ValueError(f"fixture {path} holds dimension {seq.dim}, expected {dim}")
+        if not report.valid:
+            raise ValueError(f"fixture {path} is not a ternary permutation: {report.failure}")
+        return seq
 
 
 _default_store: Optional[BaseCaseStore] = None
@@ -514,7 +483,7 @@ _default_store_lock = threading.Lock()
 
 
 def default_store() -> BaseCaseStore:
-    """Process-wide store backed by the packaged fixtures (or the env override)."""
+    """Process-wide store backed by the packaged fixtures."""
     global _default_store
     with _default_store_lock:
         if _default_store is None:

@@ -10,7 +10,6 @@ from typing import Optional
 from ._version import VERSION
 from .catalog import (
     FORMATS,
-    BaseCaseStore,
     NonexistentDimensionError,
     ParseError,
     construction_route,
@@ -96,7 +95,7 @@ def _emit(text: str, out: Optional[Path]) -> None:
 
 
 def _cmd_gen(args: argparse.Namespace) -> int:
-    seq = generate(args.dim, store=BaseCaseStore())
+    seq = generate(args.dim)
     _emit(format_sequence(seq, args.format), args.out)
     return EXIT_OK
 

@@ -36,6 +36,11 @@ DEFAULT_FIRST_MODE_BUDGET = 10**9
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
 
+#: The opening of the first three open slots: search walks the subtree
+#: under it (see _symmetric_top), and symmetry reduction pins its first
+#: two words (see canonical_prefix).
+_OPENING = (1, 2, 4)
+
 
 class SearchMode(Enum):
     FIRST = "first"
@@ -113,7 +118,7 @@ def canonical_prefix(dim: int) -> tuple[Word, Word]:
     """
     if dim < 2:
         raise ValueError(f"dimension must be at least 2, got {dim}")
-    return Word(1, dim), Word(2, dim)
+    return Word(_OPENING[0], dim), Word(_OPENING[1], dim)
 
 
 def _free_positions(dim: int) -> list[int]:
@@ -153,11 +158,6 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
         seq[p + 1] = f
         used |= m | fm
     return seq, used
-
-
-def _reduction_prefix(dim: int, symmetry_reduction: bool) -> tuple[int, ...]:
-    """canonical_prefix(dim) as the int prefix _explore takes, or () unreduced."""
-    return tuple(w.bits for w in canonical_prefix(dim)) if symmetry_reduction else ()
 
 
 def _xor_swaps(dim: int) -> list[tuple[tuple[int, int], ...]]:
@@ -382,7 +382,7 @@ def _symmetric_top(config: SearchConfig, budget: Optional[int], walk) -> SearchO
     orbits = (size, size - 1, size - 3)[2 if config.symmetry_reduction else 0 : depth]
     path = len(orbits)
     try:
-        first, count, nodes = walk((1, 2, 4)[:depth], None if budget is None else budget - path)
+        first, count, nodes = walk(_OPENING[:depth], None if budget is None else budget - path)
     except BudgetExhaustedError:
         raise BudgetExhaustedError(budget + 1) from None
     if count and config.mode is not SearchMode.COUNT:
@@ -471,7 +471,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     BudgetExhaustedError only after every attempt runs out.
     """
     config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
-    prefix = _reduction_prefix(dim, config.symmetry_reduction)
+    prefix = _OPENING[:2]
     size = (1 << dim) - 1
     n_open = len(_free_positions(dim)) - len(prefix)
     total_nodes = 0

@@ -204,6 +204,15 @@ class TestFormats:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_save_into_a_missing_directory_names_the_target(self, tmp_path):
+        # an unwritable directory takes the same path; root writes anywhere, so it is not tested
+        target = tmp_path / "missing" / "seq.txt"
+        with pytest.raises(FileNotFoundError) as err:
+            save(generate(5), target)
+        assert err.value.filename == str(target)
+        assert ".tmp" not in str(err.value)
+        assert list(tmp_path.iterdir()) == []
+
     def test_save_writes_into_a_fifo_in_place(self, tmp_path):
         fifo = tmp_path / "fifo"
         os.mkfifo(fifo)
@@ -531,19 +540,32 @@ class TestBulkParse:
         assert peak < 1 << 20
 
 
-class TestBaseCaseStore:
-    def test_packaged_fixtures_back_dims_5_and_6(self):
-        store = BaseCaseStore()
-        for dim in (5, 6):
-            entry = store.entry(dim)
-            assert entry.source == "fixture"
-            assert verify(entry.sequence).valid
+@pytest.fixture
+def searches(monkeypatch):
+    """The calls the store makes to its two searches, as (name, dimension)."""
+    calls = []
 
-    def test_dim2_is_built_in(self):
+    def counted(fn, dim_of):
+        def call(*args, **kwargs):
+            calls.append((fn.__name__, dim_of(*args, **kwargs)))
+            return fn(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(catalog, "search", counted(catalog.search, lambda config: config.dim))
+    randomized = counted(catalog.search_randomized, lambda dim, seed=0: dim)
+    monkeypatch.setattr(catalog, "search_randomized", randomized)
+    return calls
+
+
+class TestBaseCaseStore:
+    def test_packaged_fixtures_back_every_base_dim_without_a_search(self, searches):
         store = BaseCaseStore()
-        entry = store.entry(2)
-        assert entry.source == "built-in"
-        assert entry.sequence.decimals == (1, 2, 3)
+        for dim in BASE_DIMS:
+            assert verify(store.get(dim)).valid
+        assert store.get(2).decimals == (1, 2, 3)
+        assert store.get(5).decimals == BASE5_DECIMALS
+        assert searches == []
 
     def test_only_base_dims_are_stored(self):
         store = BaseCaseStore()
@@ -551,16 +573,25 @@ class TestBaseCaseStore:
             store.get(7)
         assert BASE_DIMS == (2, 5, 6)
 
-    def test_search_on_demand_matches_committed_fixtures(self, tmp_path):
+    def test_search_on_demand_matches_committed_fixtures(self, tmp_path, searches):
         fresh = BaseCaseStore(fixture_dir=tmp_path)
         packaged = BaseCaseStore()
-        for dim in (5, 6):
+        for dim in BASE_DIMS:
             assert fresh.get(dim) == packaged.get(dim)
-            assert fresh.entry(dim).source == "searched"
+            assert fresh.get(dim) is fresh.get(dim)
+        assert searches == [("search", 2), ("search", 5), ("search_randomized", 6)]
 
-    def test_entries_are_cached(self):
+    def test_sequences_are_cached(self):
         store = BaseCaseStore()
-        assert store.entry(5) is store.entry(5)
+        assert store.get(5) is store.get(5)
+
+    def test_a_fixture_file_is_read_instead_of_the_search(self, tmp_path, searches):
+        # bits 0 and 4 swapped: a linear map, so still a ternary permutation,
+        # and not the one the search finds
+        swapped = [v & 0b01110 | (v & 1) << 4 | (v >> 4) & 1 for v in BASE5_DECIMALS]
+        save(TernarySequence.from_decimals(5, swapped), tmp_path / "5.txt")
+        assert BaseCaseStore(fixture_dir=tmp_path).get(5).decimals == tuple(swapped)
+        assert searches == []
 
     def test_rejects_invalid_fixture_file(self, tmp_path):
         (tmp_path / "5.txt").write_text("n=5\n" + " ".join(str(v) for v in range(1, 32)) + "\n")
@@ -574,17 +605,10 @@ class TestBaseCaseStore:
         with pytest.raises(ValueError, match="dimension"):
             store.get(6)
 
-    def test_env_var_overrides_fixture_dir(self, tmp_path, monkeypatch):
-        save(generate(5), tmp_path / "5.txt")
-        monkeypatch.setenv("TERNARYPERM_BASECASE_DIR", str(tmp_path))
-        store = BaseCaseStore()
-        assert store.fixture_dir == tmp_path
-        assert store.entry(5).source == "fixture"
-
-    def test_generate_uses_supplied_store(self, tmp_path):
+    def test_generate_uses_supplied_store(self, tmp_path, searches):
         # n=8 lifts from the n=6 base, which a store without fixtures finds
         # by the seeded search in 2,204 nodes; n=5 would take 3.4M
         store = BaseCaseStore(fixture_dir=tmp_path)
         seq = generate(8, store=store)
         assert verify(seq).valid
-        assert store.entry(6).source == "searched"
+        assert searches == [("search_randomized", 6)]

@@ -79,6 +79,15 @@ class TestGen:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_out_in_a_missing_directory_names_the_target(self, capsys, tmp_path):
+        target = tmp_path / "missing" / "x.txt"
+        code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(target))
+        assert code == EXIT_FAILURE
+        assert out == ""
+        assert f"No such file or directory: '{target}'" in err
+        assert ".tmp" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_dim_beyond_physical_memory_is_refused(self, capsys, monkeypatch):
         monkeypatch.setattr(catalog, "_physical_memory", lambda: 10**6)
         code, out, err = run(capsys, "gen", "--dim", "15")

@@ -1,9 +1,11 @@
+import ast
 import importlib
 import re
 from pathlib import Path
 
 import ternaryperm
 
+ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("catalog", "lifting", "search", "sequences", "words")
 
 #: The package's public names, pinned: adding, removing or moving one is a
@@ -21,7 +23,7 @@ PUBLIC = {
     "SearchMode", "SearchOutcome", "canonical_prefix", "lemma_n3", "naive_count",
     "prove_impossibility", "search", "search_parallel", "search_randomized",
     # catalog
-    "BASE_DIMS", "BaseCaseEntry", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
+    "BASE_DIMS", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
     "ParseError", "construction_route", "default_store", "exists", "format_sequence", "generate",
     "load", "parse_sequence_text", "save",
 }
@@ -33,7 +35,7 @@ def module(name):
 
 
 def test_package_exports_the_pinned_names_once():
-    assert len(PUBLIC) == 42
+    assert len(PUBLIC) == 41
     assert set(ternaryperm.__all__) == PUBLIC
     assert len(ternaryperm.__all__) == len(PUBLIC)
 
@@ -66,8 +68,32 @@ def test_star_import_binds_exactly_the_public_names():
 
 
 def test_readme_python_examples_run():
-    readme = Path(__file__).resolve().parent.parent / "README.md"
+    readme = ROOT / "README.md"
     blocks = re.findall(r"^```python\n(.*?)^```", readme.read_text(encoding="utf-8"), re.M | re.S)
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def tracing_constants():
+    """CALL_SITES and METHODS as benchmarks/tracing.py states them, read without importing it."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    wanted = {"CALL_SITES", "METHODS"}
+    return {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) in wanted
+    }
+
+
+def test_the_benchmark_patch_points_exist():
+    # the traced benchmark pass points each of these at a wrapper by name
+    constants = tracing_constants()
+    assert set(constants) == {"CALL_SITES", "METHODS"}
+    for module_name, names in constants["CALL_SITES"].items():
+        mod = importlib.import_module(module_name)
+        for name in names:
+            assert callable(vars(mod).get(name)), f"{module_name}.{name}"
+    for module_name, cls_name, method in constants["METHODS"]:
+        cls = getattr(importlib.import_module(module_name), cls_name)
+        assert method in cls.__dict__, f"{module_name}.{cls_name}.{method}"

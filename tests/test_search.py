@@ -16,7 +16,7 @@ from ternaryperm.search import (
     search_parallel,
     search_randomized,
 )
-from ternaryperm.search import _explore, _free_positions, _reduction_prefix
+from ternaryperm.search import _explore, _free_positions
 from ternaryperm.sequences import verify
 from ternaryperm.words import Word
 
@@ -233,7 +233,7 @@ class TestCandidateOrder:
         ],
     )
     def test_shuffled_orders_give_the_same_full_traversal(self, dim, mode, reduce, expected):
-        prefix = _reduction_prefix(dim, reduce)
+        prefix = (1, 2) if reduce else ()
         orders = shuffled_orders(random.Random(7), dim, len(prefix))
         _, count, nodes = _explore(dim, mode, prefix, orders=orders)
         assert (count, nodes) == expected
@@ -248,7 +248,7 @@ class TestKernelOracle:
     @pytest.mark.parametrize("mode", list(SearchMode))
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_full_trees(self, dim, mode, reduce):
-        prefix = _reduction_prefix(dim, reduce)
+        prefix = (1, 2) if reduce else ()
         outcome = _explore(dim, mode, prefix)
         assert outcome == reference_explore(dim, mode, prefix)
         # no solutions at dimensions 3 and 4: every mode traverses the whole tree
@@ -338,7 +338,7 @@ class TestSymmetricTop:
     @pytest.mark.parametrize("mode", list(SearchMode))
     @pytest.mark.parametrize("dim", [2, 3, 4])
     def test_matches_the_raw_kernel_and_the_reference(self, top, dim, mode, reduce):
-        prefix = _reduction_prefix(dim, reduce)
+        prefix = (1, 2) if reduce else ()
         expected = _explore(dim, mode, prefix)
         assert top(dim, mode, prefix) == expected
         # TestKernelOracle already holds the raw kernel to the reference on
@@ -361,7 +361,7 @@ class TestSymmetricTop:
     @pytest.mark.parametrize("mode", list(SearchMode))
     @pytest.mark.parametrize("dim,reduce", [(2, False), (2, True), (3, False), (3, True)])
     def test_every_budget_stops_where_the_raw_kernel_does(self, top, dim, mode, reduce):
-        prefix = _reduction_prefix(dim, reduce)
+        prefix = (1, 2) if reduce else ()
         _, _, nodes = _explore(dim, SearchMode.COUNT, prefix)
         for budget in range(1, nodes + 2):
             assert top(dim, mode, prefix, budget) == budgeted(_explore, dim, mode, prefix, budget)
