@@ -408,7 +408,7 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
         with open(real, "w") as handle:
             handle.write(text)
         return
-    tmp = real.with_name(f".{real.name}.{os.urandom(4).hex()}.tmp")
+    tmp = real.with_name(f".{os.urandom(4).hex()}.tmp")  # not named after path, which may be NAME_MAX long
     try:
         handle = open(tmp, "x")
     except OSError as exc:  # a missing or unwritable directory
@@ -478,14 +478,9 @@ class BaseCaseStore:
         return seq
 
 
-_default_store: Optional[BaseCaseStore] = None
-_default_store_lock = threading.Lock()
+_DEFAULT_STORE = BaseCaseStore()  # reads no file until a base case is asked for
 
 
 def default_store() -> BaseCaseStore:
     """Process-wide store backed by the packaged fixtures."""
-    global _default_store
-    with _default_store_lock:
-        if _default_store is None:
-            _default_store = BaseCaseStore()
-        return _default_store
+    return _DEFAULT_STORE

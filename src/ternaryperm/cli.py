@@ -190,7 +190,3 @@ def main(argv: Optional[list[str]] = None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-
-
-if __name__ == "__main__":
-    sys.exit(main())

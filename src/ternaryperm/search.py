@@ -15,7 +15,7 @@ __all__ = [
 ]
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import permutations
@@ -530,20 +530,14 @@ class ImpossibilityCertificate:
     verifier_version: str = VERSION
 
     def to_text(self) -> str:
-        def flag(value: bool) -> str:
-            return "true" if value else "false"
-
-        lines = [
-            f"dim={self.dim}",
-            f"nonexistent={flag(self.nonexistent)}",
-            f"symmetry_reduction={flag(self.symmetry_reduction)}",
-            f"nodes_explored={self.nodes_explored}",
-        ]
-        if self.cross_check_unreduced_nodes is not None:
-            lines.append(f"cross_check_unreduced_nodes={self.cross_check_unreduced_nodes}")
-        if self.total_xor_zero is not None:
-            lines.append(f"total_xor_zero={flag(self.total_xor_zero)}")
-        lines.append(f"verifier_version={self.verifier_version}")
+        """One key=value line per field in declaration order; None fields are left out."""
+        lines = []
+        for field in fields(self):
+            value = getattr(self, field.name)
+            if value is not None:
+                if isinstance(value, bool):
+                    value = "true" if value else "false"
+                lines.append(f"{field.name}={value}")
         return "\n".join(lines) + "\n"
 
 

@@ -11,7 +11,7 @@ __all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "veri
 
 import sys
 from array import array
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator, Optional
 
@@ -26,14 +26,12 @@ if array("I").itemsize != 4:
 
 def lanes(values: array) -> int:
     """The array's items as the 32-bit lanes of one int; XOR, OR and shifts then act lane by lane."""
-    return int.from_bytes(values.tobytes(), sys.byteorder)
+    return int.from_bytes(le_bytes(values), "little")
 
 
 def unlanes(packed: int, size: int) -> array:
     """Inverse of lanes(): the first size 32-bit lanes of packed, as an array('I')."""
-    values = array("I")
-    values.frombytes(packed.to_bytes(4 * size, sys.byteorder))
-    return values
+    return le_values(packed.to_bytes(4 * size, "little"))
 
 
 def le_bytes(values: Iterable[int]) -> bytes:
@@ -75,6 +73,7 @@ class VerificationReport:
             raise ValueError("a report is valid exactly when it carries no failure")
 
 
+@dataclass(frozen=True, init=False)
 class TernarySequence:
     """An ordered run of words claimed to be a ternary permutation.
 
@@ -83,10 +82,10 @@ class TernarySequence:
     every word of that dimension.  The words are stored as their decimal
     values; .words builds the Word objects on first read, and verify()
     keeps its report on the instance.  Instances are immutable, and
-    compare, hash and pickle by (dim, decimals) alone.
+    compare, hash and pickle by (dim, decimals) alone: those are the
+    dataclass's fields, and _words and _report are plain attributes.
     """
 
-    __slots__ = ("dim", "decimals", "_words", "_report")
     dim: int
     decimals: tuple[int, ...]
 
@@ -130,25 +129,8 @@ class TernarySequence:
             object.__setattr__(self, "_words", tuple(Word(v, self.dim) for v in self.decimals))
         return self._words
 
-    def __setattr__(self, name: str, value: object) -> None:
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
-
     def __reduce__(self):
         return self._trusted, (self.dim, self.decimals)
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.dim == other.dim and self.decimals == other.decimals
-
-    def __hash__(self) -> int:
-        return hash((self.dim, self.decimals))
-
-    def __repr__(self) -> str:
-        return f"TernarySequence(dim={self.dim}, decimals={self.decimals!r})"
 
     def __len__(self) -> int:
         return len(self.decimals)

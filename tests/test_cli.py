@@ -79,6 +79,14 @@ class TestGen:
         assert target.read_text() == "old\n"
         assert list(tmp_path.iterdir()) == [target]
 
+    def test_out_takes_a_name_of_250_bytes(self, capsys, tmp_path):
+        # the temporary file is named apart from the target, so it fits NAME_MAX too
+        target = tmp_path / ("a" * 250)
+        code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(target))
+        assert (code, out, err) == (EXIT_OK, "", "")
+        assert target.read_text() == format_sequence(generate(5))
+        assert list(tmp_path.iterdir()) == [target]
+
     def test_out_in_a_missing_directory_names_the_target(self, capsys, tmp_path):
         target = tmp_path / "missing" / "x.txt"
         code, out, err = run(capsys, "gen", "--dim", "5", "--out", str(target))
@@ -241,6 +249,14 @@ class TestSearch:
         assert code == EXIT_INVALID_INPUT
         assert "sequential" in err
         assert "drop --parallel" in err
+
+    def test_parallel_zero_workers_is_invalid(self, capsys):
+        code, out, err = run(
+            capsys, "search", "--dim", "3", "--mode", "count", "--parallel", "0"
+        )
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "worker count must be positive" in err
 
     def test_reduce_toggle(self, capsys):
         code, out, _ = run(

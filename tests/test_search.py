@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from ternaryperm._version import VERSION
 from ternaryperm.search import (
     MAX_SEARCH_DIM,
     BudgetExhaustedError,
@@ -445,6 +446,10 @@ class TestParallel:
                 SearchConfig(dim=3, mode=SearchMode.COUNT, node_budget=100), workers=2
             )
 
+    def test_no_workers_rejected(self):
+        with pytest.raises(ValueError, match="worker count must be positive, got 0"):
+            search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), workers=0)
+
 
 class TestRandomizedDiscovery:
     def test_finds_valid_dim6_sequence(self):
@@ -506,10 +511,15 @@ class TestImpossibility:
         assert cert.symmetry_reduction is True
         assert cert.cross_check_unreduced_nodes is not None
         assert cert.total_xor_zero is True
-        text = cert.to_text()
-        assert "dim=3" in text
-        assert "nonexistent=true" in text
-        assert "verifier_version=" in text
+        assert cert.to_text() == (
+            "dim=3\n"
+            "nonexistent=true\n"
+            "symmetry_reduction=true\n"
+            "nodes_explored=12\n"
+            "cross_check_unreduced_nodes=553\n"
+            "total_xor_zero=true\n"
+            f"verifier_version={VERSION}\n"
+        )
 
     def test_dim3_cross_check_is_a_raw_unreduced_walk(self, monkeypatch):
         # through search() it would rest on the symmetry argument it checks
@@ -530,6 +540,13 @@ class TestImpossibility:
         assert cert.nonexistent is True
         assert cert.cross_check_unreduced_nodes is None
         assert cert.total_xor_zero is None
+        assert cert.to_text() == (
+            "dim=4\n"
+            "nonexistent=true\n"
+            "symmetry_reduction=true\n"
+            "nodes_explored=9348\n"
+            f"verifier_version={VERSION}\n"
+        )
 
     def test_other_dims_rejected(self):
         with pytest.raises(ValueError):

@@ -77,6 +77,11 @@ class TestSequenceType:
         assert from_words.words == from_ints.words
         assert list(from_ints) == list(from_ints.words)
 
+    def test_repr_and_hash_are_the_fields(self):
+        s = seq(2, (1, 2, 3))
+        assert repr(s) == "TernarySequence(dim=2, decimals=(1, 2, 3))"
+        assert hash(s) == hash((2, (1, 2, 3)))
+
     def test_inequality(self):
         assert seq(2, (1, 2, 3)) != seq(2, (1, 3, 2))
         assert seq(2, (1, 2, 3)) != (1, 2, 3)
