@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial
 from itertools import permutations
-from math import inf
+from math import inf, prod
 from typing import Optional
 
 from ._version import VERSION
@@ -36,10 +36,9 @@ DEFAULT_FIRST_MODE_BUDGET = 10**9
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
 
-#: The opening of the first three open slots: search walks the subtree
-#: under it (see _symmetric_top), and symmetry reduction pins its first
-#: two words (see canonical_prefix).
-_OPENING = (1, 2, 4)
+#: The opening that symmetry reduction pins in the first two open slots
+#: (see canonical_prefix).
+_OPENING = (1, 2)
 
 
 class SearchMode(Enum):
@@ -87,10 +86,10 @@ class SearchOutcome:
     skipped because their word was already in use are not assignments.
     Many are counted in bulk rather than one at a time: those of a slot
     where none fits and of a second-to-last slot that holds no solution
-    are added without the slot being entered, and the top three open
-    slots are walked once, under (1, 2, 4), with that subtree's count and
-    nodes scaled by the number of openings that lead to a copy of it
-    (see search).  The total is the same as one candidate at a time, so
+    are added without the slot being entered, and wherever the span of
+    the used words grows, one word outside it is walked and its subtree's
+    count and nodes are credited once per word of its GL(n,2) orbit (see
+    _explore).  The total is the same as one candidate at a time, so
     nodes per second counts these credited nodes too.  Fields other than
     the one matching the mode stay None.
     """
@@ -176,12 +175,27 @@ def _xor_swaps(dim: int) -> list[tuple[tuple[int, int], ...]]:
     return [tuple(steps[b] for b in range(dim) if c >> b & 1) for c in range(1 << dim)]
 
 
+def _span_limit(used: int) -> Optional[int]:
+    """lim = 2**r if the words in the bitmask used span exactly {0, ..., lim - 1}, else None.
+
+    That is, the rank of the used words equals the bit length of the
+    largest one: the words are in normal form.
+    """
+    span = {0}
+    for w in range(1, used.bit_length()):
+        if used >> w & 1 and w not in span:
+            span |= {x ^ w for x in span}
+    return len(span) if max(span) < len(span) else None
+
+
 def _explore(
     dim: int,
     mode: SearchMode,
     prefix: tuple[int, ...] = (),
     node_budget: Optional[int] = None,
     orders: Optional[list[list[int]]] = None,
+    scale: bool = True,
+    frontier: Optional[list] = None,
 ):
     """Depth-first scan of every ternary permutation extending `prefix`.
 
@@ -197,8 +211,7 @@ def _explore(
     collides; candidates whose word is already in use do not count.  Going
     past node_budget raises BudgetExhaustedError(node_budget + 1).  Stops
     at the first solution except in count mode.  Returns (first solution
-    as decimals or None, solution count so far, nodes).  search walks
-    only the subtree under (1, 2, 4) with it and scales the result.
+    as decimals or None, solution count so far, nodes).
 
     A slot works on two bitmasks, not candidate by candidate: free holds
     the unused words and ok those of them whose forced follower (the word
@@ -225,6 +238,45 @@ def _explore(
     not checked after these two adds: nodes only grow, and the next add,
     which comes before any solution is recorded or any result returned,
     is checked and raises the same error.
+
+    Where the span of the used words grows, one word stands for many
+    (McKay's isomorph rejection).  Say the used words span exactly
+    {0, ..., lim - 1}, with lim = 2**r <= N = 2**dim - 1.  The defining
+    conditions are XOR equations, so a map g in GL(dim, 2) is an
+    isomorphism of search trees: it carries used words, free words and
+    forced followers onto each other.  The M = 2**dim - lim words from lim
+    on lie outside the span, and so do their followers (the word before
+    the slot is used, or 0 at position 1): all M are assignable.  The maps
+    that fix the span pointwise fix every used word and the word before
+    the slot, and they are transitive on those M words, so their subtrees
+    are copies of one another, and a full traversal of each gives the
+    same count and nodes (the tree does not depend on the order).  So the
+    slot tries its unused words inside the span as before, then lim, the
+    smallest word outside, and no other: its free and ok masks keep bits
+    1 .. lim only, so lim is its last candidate.  When lim's subtree is
+    finished and the slot is exhausted, with nodes and count saved just
+    before lim's own node, nodes = saved + M * (nodes - saved), count
+    likewise, and the budget is checked (the scan passes every total up
+    to that one while it walks the copies).  An ascending scan tries
+    every word inside the span (all below lim) before lim, and lim before
+    the other M - 1, so it stops under lim exactly when it would stop under
+    the first outside word: the first solution, the node total at a stop
+    and every budget error are the scan's.  Assigning lim doubles the
+    span, so the slots below it have lim doubled; a word inside the span
+    leaves it as it is.  The follower translate and the two in-place adds
+    above use the unmasked masks: those adds count whole subtrees.  From
+    an empty prefix the factors M along the walk are N, N - 1, N - 3, ...,
+    2**dim - 2**(dim - 1), whose product is |GL(dim, 2)|.  Scaling runs
+    only with scale true, orders None and a prefix in normal form (see
+    _span_limit); otherwise the walk is plain.
+
+    frontier, a list, stops the scaled walk at each walked prefix where
+    the span first fills GF(2)**dim above the last slot (below it nothing
+    scales): it appends (prefix, multiplier), multiplier being the product
+    of the factors M pending there, and counts that prefix's own node but
+    nothing under it.  The whole walk's count and nodes are then those
+    returned plus, per entry, multiplier times those of _explore(dim, mode,
+    prefix).
     """
     size = (1 << dim) - 1
     free_pos = _free_positions(dim)
@@ -247,6 +299,15 @@ def _explore(
     und = [0] * n_free  # bits to give back to avail when a slot's assignment is undone
     last = n_free - 1
     pen = n_free - 2  # the second-to-last slot
+    # lim is slot d's span limit, size + 1 once the span is full or when
+    # the walk is plain; growing holds (slot, saved nodes, saved count, M)
+    # per slot whose word lim is being walked, deepest last, and sd is the
+    # deepest such slot.
+    lim = size + 1
+    if scale and orders is None:
+        lim = _span_limit(used) or lim
+    growing = []
+    sd = -1
     # Slot d sits at position p, after the word prev; avail holds every
     # unused word.  At position 1 prev is seq[0], which stays 0, so every
     # free word there is assignable and c = w below adds no second bit.
@@ -264,8 +325,17 @@ def _explore(
             order = orders[d - start]
             free = sum(1 << r for r, w in enumerate(order) if free >> w & 1)
             ok = sum(1 << r for r, w in enumerate(order) if ok >> w & 1)
+        elif lim <= size:  # the span is not full: lim stands for every word outside it
+            free &= (2 << lim) - 2
+            ok &= (2 << lim) - 2
         while True:  # try slot d's candidates until one enters slot d + 1
             while not ok:  # slot d is exhausted: back up
+                if d == sd:  # its last candidate was lim: credit the M words lim stands for
+                    _, saved, saved_count, copies = growing.pop()
+                    nodes = saved + copies * (nodes - saved)
+                    count = saved_count + copies * (count - saved_count)
+                    sd = growing[-1][0] if growing else -1
+                    lim >>= 1
                 nodes += free.bit_count()
                 if nodes > budget:
                     raise BudgetExhaustedError(node_budget + 1)
@@ -287,6 +357,14 @@ def _explore(
             w = low.bit_length() - 1
             if orders is not None:
                 w = orders[d - start][w]
+            if w == lim:  # the span grows
+                growing.append((d, nodes - 1, count, size + 1 - lim))
+                sd = d
+                lim <<= 1
+                if frontier is not None and lim > size and d < last:
+                    walked = tuple(seq[q] for q in free_pos[:d]) + (w,)
+                    frontier.append((walked, prod(g[3] for g in growing)))
+                    continue
             c = prev ^ w  # the forced follower, and the word before slot d + 1
             m = (1 << w) | (1 << c)
             if d == last:
@@ -347,58 +425,6 @@ def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: in
     )
 
 
-def _symmetric_top(config: SearchConfig, budget: Optional[int], walk) -> SearchOutcome:
-    """The whole tree's outcome from one walk of the subtree under (1, 2, 4).
-
-    walk(prefix, node_budget) returns what _explore returns for it.
-
-    Why this is exact: the defining conditions are XOR equations, so a
-    map g in GL(n,2) is an isomorphism of search trees, mapping the used
-    words, the free words and the forced followers onto each other.  The
-    tree does not depend on candidate order (see _explore), so a full
-    traversal below an opening and below its image under g gives the same
-    count and nodes.  With N = 2**n - 1, slot 0 has N candidates, and
-    GL(n,2) is transitive on nonzero words.  Slot 1 follows a; its N - 1
-    candidates are all assignable, and the stabiliser of a is transitive
-    on them.  Slot 2 follows a, b, a ^ b; its N - 3 candidates all lie
-    outside span{a, b} and are all assignable, and the pointwise
-    stabiliser of that span is transitive on them.  So the three slots
-    cost N + N(N - 1) + N(N - 1)(N - 3) nodes, and each of the
-    N(N - 1)(N - 3) openings leads to a copy of the subtree under
-    (1, 2, 4).  Reduced, slots 0 and 1 hold the pinned (1, 2) at no cost
-    and N - 3 copies remain, so a reduced count still counts exactly the
-    sequences opening with (1, 2).  At dimension 2 the first two slots
-    are all there is.
-
-    If the subtree stops at a solution (first mode, or prove_none when one
-    exists), an ascending scan stops there too, on its first free candidate
-    at each top slot: the nodes are that path, one per unpinned top slot,
-    plus the subtree's.  The subtree gets the budget less the path;
-    running out there, or a total past the budget, raises
-    BudgetExhaustedError(budget + 1), as the scan's checked adds do.
-    """
-    size = (1 << config.dim) - 1
-    depth = min(3, len(_free_positions(config.dim)))
-    orbits = (size, size - 1, size - 3)[2 if config.symmetry_reduction else 0 : depth]
-    path = len(orbits)
-    try:
-        first, count, nodes = walk(_OPENING[:depth], None if budget is None else budget - path)
-    except BudgetExhaustedError:
-        raise BudgetExhaustedError(budget + 1) from None
-    if count and config.mode is not SearchMode.COUNT:
-        nodes += path
-    else:
-        copies, top = 1, 0
-        for orbit in orbits:
-            copies *= orbit
-            top += copies
-        count *= copies
-        nodes = top + copies * nodes
-    if budget is not None and nodes > budget:
-        raise BudgetExhaustedError(budget + 1)
-    return _outcome(config, first, count, nodes)
-
-
 def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search to completion (or budget exhaustion).
 
@@ -406,28 +432,34 @@ def search(config: SearchConfig) -> SearchOutcome:
     order, or none after exhausting the space; count returns the exact
     number of solutions found (of the reduced space when reduction is
     on); prove_none reports True only after a full traversal finds
-    nothing, and short-circuits to False on the first solution.  The
-    kernel walks only the subtree under (1, 2, 4) and scales its count
-    and nodes by the number of openings that lead to a copy of it (see
-    _symmetric_top); every answer and node total is the one a scan of
-    the whole tree gives.
+    nothing, and short-circuits to False on the first solution.  One
+    scaled kernel walk from the empty prefix, or from (1, 2) when reduced,
+    gives the answer: wherever the span of the used words grows, it walks
+    one word outside the span and credits its subtree once per word of
+    that word's GL(n,2) orbit (see _explore), so every answer and node
+    total is the one a scan of the whole tree gives.
     """
     budget = config.node_budget
     if budget is None and config.mode is SearchMode.FIRST and config.dim >= 5:
         budget = DEFAULT_FIRST_MODE_BUDGET
-    return _symmetric_top(config, budget, partial(_explore, config.dim, config.mode))
+    prefix = _OPENING if config.symmetry_reduction else ()
+    return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
 
 
 def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
-    """Split the open slot below (1, 2, 4) across worker processes.
+    """Hand the scaled walk's frontier out to worker processes.
 
+    The frontier is the set of walked prefixes at which the span of the
+    used words first fills GF(2)^n, each with the factor its subtree is
+    credited by (see _explore); below them nothing scales.  Each worker
+    walks one entry's subtree, and the total is the walk above the
+    frontier plus the sum of factor times each entry's count and nodes.
     Only count and prove_none run here: their per-subtree results merge
-    by plain addition, so completion order does not matter, and the sum
-    is scaled as search scales its one walk.  first mode stays sequential
-    to keep its smallest-solution guarantee.  Node totals match the
-    sequential search exactly, except that prove_none workers cannot
-    short-circuit each other, so when solutions exist the parallel total
-    may be higher.
+    by plain addition, so completion order does not matter.  first mode
+    stays sequential to keep its smallest-solution guarantee.  Node totals
+    match the sequential search exactly, except that prove_none workers
+    cannot short-circuit each other, so when solutions exist the parallel
+    total may be higher.
     """
     if config.mode is SearchMode.FIRST:
         raise ValueError("first mode is sequential; use search()")
@@ -435,25 +467,20 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
         raise ValueError("node budgets do not split across workers; run sequentially")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    frontier = []
+    prefix = _OPENING if config.symmetry_reduction else ()
+    first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)
+    if frontier:
+        # imported here: it pulls in multiprocessing, which no other command needs
+        from concurrent.futures import ProcessPoolExecutor
 
-    def split(prefix: tuple[int, ...], _budget: None) -> tuple[None, int, int]:
-        _, used = _apply_prefix(config.dim, prefix)
-        candidates = [prefix + (c,) for c in range(1, 1 << config.dim) if not used >> c & 1]
-        if not candidates:  # the prefix fills every slot (dimension 2): nothing to split
-            return _explore(config.dim, config.mode, prefix)
-        # a candidate whose follower collides is one node, with no subtree to hand out
-        tasks = [p for p in candidates if _apply_prefix(config.dim, p)]
-        results = []
-        if tasks:
-            # imported here: it pulls in multiprocessing, which no other command needs
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
-                results = list(pool.map(partial(_explore, config.dim, config.mode), tasks))
-        # each split candidate is itself one attempted assignment
-        return None, sum(r[1] for r in results), len(candidates) + sum(r[2] for r in results)
-
-    return _symmetric_top(config, None, split)
+        prefixes, factors = zip(*frontier)
+        with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
+            results = pool.map(partial(_explore, config.dim, config.mode), prefixes)
+            for copies, (_, sub_count, sub_nodes) in zip(factors, results):
+                count += copies * sub_count
+                nodes += copies * sub_nodes
+    return _outcome(config, first, count, nodes)
 
 
 def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
@@ -471,7 +498,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     BudgetExhaustedError only after every attempt runs out.
     """
     config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
-    prefix = _OPENING[:2]
+    prefix = _OPENING
     size = (1 << dim) - 1
     n_open = len(_free_positions(dim)) - len(prefix)
     total_nodes = 0
@@ -546,8 +573,8 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
 
     Runs the reduced search to completion; at dimension 3, where the
     space is tiny, an unreduced traversal and the XOR-sum lemma are run
-    as cross-checks and recorded in the certificate.  The traversal is a
-    raw kernel walk of the whole tree, not a search(): that would rest on
+    as cross-checks and recorded in the certificate.  The traversal is an
+    unscaled kernel walk of the whole tree: a scaled one would rest on
     the same symmetry argument it is meant to check.
     """
     if dim not in (3, 4):
@@ -556,7 +583,7 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
     cross_nodes = None
     lemma = None
     if dim == 3:
-        _, count, cross_nodes = _explore(dim, SearchMode.PROVE_NONE, ())
+        _, count, cross_nodes = _explore(dim, SearchMode.PROVE_NONE, (), scale=False)
         if (count == 0) != reduced.nonexistent:  # soundness tripwire
             raise RuntimeError("reduced and unreduced searches disagree")
         lemma = lemma_n3()

@@ -310,91 +310,126 @@ class TestKernelOracle:
 
     @pytest.mark.slow
     def test_unreduced_count_under_a_five_word_prefix(self):
-        # 3,416 GL(5,2) normal forms under this prefix, times the 16 maps
-        # that fix 1, 2, 4 and 8 (ROADMAP item 1's cross-check); the smallest
-        # solution lies under this prefix too
+        # Walked unscaled, this is the n = 5 cross-check of the orbit
+        # scaling, which meets 3,416 solutions here and credits each 16
+        # times; the smallest solution lies under this prefix too.
         expected = (BASE5_DECIMALS, 54656, 48145634)
-        assert _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == expected
+        assert unscaled(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == expected
 
 
-class TestSymmetricTop:
-    """search walks the subtree under (1, 2, 4) once and scales it by its GL(n,2) orbit."""
+#: Prefixes at dimensions 2 to 4, in normal form (their used words span
+#: exactly {0, ..., 2**r - 1}, so the walk under them scales) and not (so
+#: it is plain): (1, 2, 5) and (1, 2, 4, 9) have a full span, (2, 1) is in
+#: normal form though not ascending, and (3,), (2,), (6, 1), (4,) and
+#: (3, 5, 9) are not in normal form.
+ORBIT_CASES = [
+    (2, ()), (2, (1,)), (2, (3,)),
+    (3, ()), (3, (1,)), (3, (2, 1)), (3, (1, 2, 5)), (3, (2,)), (3, (6, 1)),
+    (4, ()), (4, (1, 2)), (4, (2, 1)), (4, (1, 2, 5)), (4, (1, 2, 4, 9)),
+    (4, (6, 1)), (4, (4,)), (4, (3, 5, 9)),
+]
 
-    @pytest.fixture
-    def top(self, monkeypatch):
-        """search's (first, count, nodes) as _explore returns them, or its budget error's nodes."""
-        module = importlib.import_module("ternaryperm.search")
-        monkeypatch.setattr(module, "_outcome", lambda config, *result: result)
+#: |GL(5,2)| = (32 - 1)(32 - 2)(32 - 4)(32 - 8)(32 - 16)
+GL5 = 9999360
 
-        def call(dim, mode, prefix, budget=None):
-            config = SearchConfig(dim, mode, symmetry_reduction=bool(prefix), node_budget=budget)
-            try:
-                return search(config)
-            except BudgetExhaustedError as exc:
-                return exc.nodes_explored
 
-        return call
+def unscaled(dim, mode, prefix=(), node_budget=None, orders=None):
+    return _explore(dim, mode, prefix, node_budget, orders, scale=False)
 
-    @pytest.mark.parametrize("reduce", [False, True])
-    @pytest.mark.parametrize("mode", list(SearchMode))
-    @pytest.mark.parametrize("dim", [2, 3, 4])
-    def test_matches_the_raw_kernel_and_the_reference(self, top, dim, mode, reduce):
-        prefix = (1, 2) if reduce else ()
-        expected = _explore(dim, mode, prefix)
-        assert top(dim, mode, prefix) == expected
-        # TestKernelOracle already holds the raw kernel to the reference on
-        # the unreduced n = 4 tree, whose per-candidate walk takes seconds
-        if (dim, reduce) != (4, False):
-            assert expected == reference_explore(dim, mode, prefix)
 
-    def test_the_walked_subtree_scales_to_the_pinned_totals(self, top):
-        assert _explore(4, SearchMode.COUNT, (1, 2, 4)) == (None, 0, 778)
-        # 12 + 12 * 778 reduced; 15 + 15 * 14 + 15 * 14 * 12 * (1 + 778) unreduced
-        assert top(4, SearchMode.COUNT, (1, 2)) == (None, 0, 9348)
-        assert top(4, SearchMode.COUNT, ()) == (None, 0, 1963305)
-        assert _explore(3, SearchMode.COUNT, (1, 2, 4)) == (None, 0, 2)
-        assert top(3, SearchMode.COUNT, (1, 2)) == (None, 0, 12)
-        assert top(3, SearchMode.COUNT, ()) == (None, 0, 553)
-        # (1, 2) fills both slots at dimension 2: 3 + 3 * 2 nodes, 3 * 2 solutions
-        assert top(2, SearchMode.COUNT, ()) == ((1, 2, 3), 6, 9)
-        assert top(2, SearchMode.FIRST, ()) == ((1, 2, 3), 1, 2)
+class TestOrbitScaling:
+    """_explore walks one word outside the span wherever it grows and credits its GL(n,2) orbit."""
 
-    @pytest.mark.parametrize("mode", list(SearchMode))
-    @pytest.mark.parametrize("dim,reduce", [(2, False), (2, True), (3, False), (3, True)])
-    def test_every_budget_stops_where_the_raw_kernel_does(self, top, dim, mode, reduce):
-        prefix = (1, 2) if reduce else ()
-        _, _, nodes = _explore(dim, SearchMode.COUNT, prefix)
-        for budget in range(1, nodes + 2):
-            assert top(dim, mode, prefix, budget) == budgeted(_explore, dim, mode, prefix, budget)
+    @pytest.mark.parametrize("dim,prefix", ORBIT_CASES)
+    def test_scaled_matches_unscaled_and_the_reference(self, dim, prefix):
+        for mode in SearchMode:
+            expected = unscaled(dim, mode, prefix)
+            assert _explore(dim, mode, prefix) == expected
+            # TestKernelOracle holds the kernel to the reference on the
+            # unreduced n = 4 tree, whose per-candidate walk takes seconds
+            if (dim, prefix) != (4, ()):
+                assert expected == reference_explore(dim, mode, prefix)
 
-    def test_every_budget_on_the_reduced_n4_tree(self, top):
-        # The tree holds no solution, so the raw kernel raises on node
-        # budget + 1 below 9,348 nodes and returns from there on: checked on
-        # the raw kernel at a seeded sample of budgets (each walks up to
-        # 9,348 nodes) and on search at every budget.
+    # the trees of fewer than 1,000 nodes
+    @pytest.mark.parametrize("dim,prefix", [case for case in ORBIT_CASES if case[0] < 4 or len(case[1]) > 2])
+    def test_every_budget_matches_unscaled_and_the_reference(self, dim, prefix):
+        _, _, nodes = unscaled(dim, SearchMode.COUNT, prefix)
+        for mode in SearchMode:
+            for budget in range(1, nodes + 2):
+                expected = budgeted(reference_explore, dim, mode, prefix, budget)
+                assert budgeted(_explore, dim, mode, prefix, budget) == expected
+                assert budgeted(unscaled, dim, mode, prefix, budget) == expected
+
+    def test_every_budget_on_the_reduced_n4_tree(self):
+        # The tree holds no solution, so a scan raises on node budget + 1
+        # below 9,348 nodes and returns from there on: checked on the
+        # unscaled walk at a seeded sample of budgets (each walks up to
+        # 9,348 nodes) and on the scaled one at every budget.
         def expected(budget):
             return budget + 1 if budget < 9348 else (None, 0, 9348)
 
         rng = random.Random(29)
         for budget in [1, 2, 12, 13, 9347, 9348, 9349] + rng.sample(range(1, 9349), 20):
-            assert budgeted(_explore, 4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
+            assert budgeted(unscaled, 4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
         for budget in range(1, 9350):
-            assert top(4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
+            assert budgeted(_explore, 4, SearchMode.COUNT, (1, 2), budget) == expected(budget)
 
-    def test_every_budget_when_the_walk_stops_at_a_solution(self, top, monkeypatch):
-        # The walk under (1, 2, 4) stands in for the deep dimension-5 subtree,
-        # whose first solution comes after a few dozen nodes; the scan's total
-        # is the path through the top slots plus those.
-        module = importlib.import_module("ternaryperm.search")
-        monkeypatch.setattr(module, "_explore", lambda dim, mode, prefix, budget: (
-            _explore(dim, mode, DEEP_DIM5_PREFIX, budget)))
-        first, count, nodes = _explore(5, SearchMode.FIRST, DEEP_DIM5_PREFIX)
-        assert count == 1 and nodes > 1
-        for prefix, path in (((), 3), ((1, 2), 1)):
+    def test_budgets_on_the_unreduced_n4_tree(self):
+        # The walk credits copies at slots 3, 2, 1 and 0, each time the subtree
+        # under lim is finished; with k words of (1, 2, 4, 8) walked above slot
+        # k, its total is then k plus the nodes under (1, 2, 4, 8)[:k].  The
+        # budgets on either side of each of those totals, and a seeded sample.
+        checks = [k + unscaled(4, SearchMode.COUNT, (1, 2, 4, 8)[:k])[2] for k in range(4)]
+        assert checks == [1963305, 130887, 9350, 781]
+        rng = random.Random(31)
+        budgets = [c + delta for c in checks for delta in (-1, 0, 1)]
+        budgets += rng.sample(range(1, 1963306), 200)
+        for mode in SearchMode:
+            for budget in budgets:
+                expected = budget + 1 if budget < 1963305 else (None, 0, 1963305)
+                assert budgeted(_explore, 4, mode, (), budget) == expected
+
+    def test_budgets_when_a_scaled_walk_stops_at_a_solution(self):
+        # At dimension 2 both slots are ones where the span grows, and the
+        # walk stops at the solution (1, 2, 3) with both credits pending.
+        for prefix in ((), (1,)):
             for mode in (SearchMode.FIRST, SearchMode.PROVE_NONE):
-                for budget in range(1, path + nodes + 2):
-                    expected = budget + 1 if budget < path + nodes else (first, 1, path + nodes)
-                    assert top(5, mode, prefix, budget) == expected
+                for budget in range(1, 4):
+                    expected = budgeted(reference_explore, 2, mode, prefix, budget)
+                    assert budgeted(_explore, 2, mode, prefix, budget) == expected
+                    assert budgeted(unscaled, 2, mode, prefix, budget) == expected
+        # At dimension 5 the first walk credits four subtrees of 16 copies
+        # (at slots 6, 7, 7 and 6), none holding a solution, before the one
+        # that does: budgets on either side of each credited total, of the
+        # stop, and a seeded sample.  Reduced, every total is 2 lower.
+        rng = random.Random(37)
+        for prefix, stop in (((), 3403051), ((1, 2), 3403049)):
+            checks = [c + stop - 3403049 for c in (1625146, 1654993, 1684836, 3396117, 3403049)]
+            budgets = [c + delta for c in checks for delta in (-1, 0, 1)] + rng.sample(range(1, stop), 6)
+            for budget in budgets:
+                expected = budget + 1 if budget < stop else (BASE5_DECIMALS, 1, stop)
+                assert budgeted(_explore, 5, SearchMode.FIRST, prefix, budget) == expected
+
+    def test_the_frontier(self):
+        # below (1, 2, 4, 8) the span is full at n = 4; its factor is
+        # 15 * 14 * 12 * 8 unreduced and 12 * 8 with (1, 2) pinned
+        for prefix, copies, above in (((), 15 * 14 * 12 * 8, 27945), ((1, 2), 12 * 8, 132)):
+            frontier = []
+            assert _explore(4, SearchMode.COUNT, prefix, frontier=frontier) == (None, 0, above)
+            assert frontier == [((1, 2, 4, 8), copies)]
+            below = _explore(4, SearchMode.COUNT, (1, 2, 4, 8))[2]
+            assert above + copies * below == unscaled(4, SearchMode.COUNT, prefix)[2]
+        # at n = 5 every entry ends with 16, the word that fills the span,
+        # and its factor is |GL(5,2)|, or |GL(5,2)| / (31 * 30) reduced
+        for prefix, copies in (((), GL5), ((1, 2), GL5 // 930)):
+            frontier = []
+            _explore(5, SearchMode.COUNT, prefix, frontier=frontier)
+            assert len(frontier) == 25
+            assert all(p[:4] == (1, 2, 4, 8) and p[-1] == 16 and m == copies for p, m in frontier)
+
+    def test_a_scaled_count_under_a_five_word_prefix(self):
+        # the slow test walks the same tree unscaled
+        assert _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == (BASE5_DECIMALS, 54656, 48145634)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
     @pytest.mark.parametrize(
@@ -408,6 +443,24 @@ class TestSymmetricTop:
         for dim in (2, 3, 4):
             config = SearchConfig(dim=dim, mode=mode, symmetry_reduction=reduce)
             assert search_parallel(config, workers=workers) == search(config)
+
+    @pytest.mark.slow
+    def test_the_number_of_ternary_permutations_at_n5(self):
+        # a result beyond the paper: 123,008 GL(5,2) orbits, each of
+        # |GL(5,2)| solutions (only the identity fixes a basis)
+        outcome = search_parallel(SearchConfig(5, SearchMode.COUNT), workers=2)
+        assert (outcome.count, outcome.nodes_explored) == (1230001274880, 765277229826601)
+        assert outcome.count == 123008 * GL5
+
+    @pytest.mark.slow
+    def test_the_reduced_count_at_n5(self):
+        # One walk, not the frontier split: under (1, 2, 4, 8) the words 5, 6,
+        # 9 and 10 lead to solutions before 16 is walked and credited, so
+        # only this walk credits a subtree after solutions were counted.
+        # It counts the solutions that open with (1, 2), one in 31 * 30.
+        outcome = search(SearchConfig(5, SearchMode.COUNT, symmetry_reduction=True))
+        assert (outcome.count, outcome.nodes_explored) == (1322582016, 822878741748)
+        assert outcome.count * 31 * 30 == 123008 * GL5
 
 
 class TestBudget:
@@ -521,18 +574,18 @@ class TestImpossibility:
             f"verifier_version={VERSION}\n"
         )
 
-    def test_dim3_cross_check_is_a_raw_unreduced_walk(self, monkeypatch):
-        # through search() it would rest on the symmetry argument it checks
+    def test_dim3_cross_check_is_an_unscaled_unreduced_walk(self, monkeypatch):
+        # scaled, it would rest on the symmetry argument it checks
         module = importlib.import_module("ternaryperm.search")
-        prefixes = []
+        calls = []
 
-        def watched(dim, mode, prefix=(), *args):
-            prefixes.append(prefix)
-            return _explore(dim, mode, prefix, *args)
+        def watched(dim, mode, prefix=(), *args, scale=True):
+            calls.append((prefix, scale))
+            return _explore(dim, mode, prefix, *args, scale=scale)
 
         monkeypatch.setattr(module, "_explore", watched)
         cert = prove_impossibility(3)
-        assert sorted(prefixes) == [(), (1, 2, 4)]
+        assert sorted(calls) == [((), False), ((1, 2), True)]
         assert (cert.nodes_explored, cert.cross_check_unreduced_nodes) == (12, 553)
 
     def test_dim4_certificate(self):
