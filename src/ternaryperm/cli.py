@@ -73,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--parallel",
         type=int,
         metavar="WORKERS",
-        help="worker processes for count/prove-none; first mode is sequential",
+        help="use at most WORKERS processes; only a count without --budget is split",
     )
     sea.add_argument("--format", choices=FORMATS, default="decimal")
     sea.add_argument("--out", type=Path)
@@ -117,12 +117,10 @@ def _cmd_search(args: argparse.Namespace) -> int:
         symmetry_reduction=args.reduce,
         node_budget=args.budget,
     )
-    if args.parallel is not None:
-        if config.mode is SearchMode.FIRST:
-            raise ValueError("first mode is sequential; drop --parallel")
-        outcome = search_parallel(config, args.parallel)
-    else:
+    if args.parallel is None:
         outcome = search(config)
+    else:
+        outcome = search_parallel(config, args.parallel)
     if config.mode is SearchMode.FIRST:
         if outcome.sequence is None:
             print(

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 __all__ = [
     "MAX_SEARCH_DIM", "BudgetExhaustedError", "ImpossibilityCertificate", "SearchConfig",
-    "SearchMode", "SearchOutcome", "canonical_prefix", "lemma_n3", "naive_count",
+    "SearchMode", "SearchOutcome", "lemma_n3", "naive_count",
     "prove_impossibility", "search", "search_parallel", "search_randomized",
 ]
 
@@ -24,20 +24,21 @@ from typing import Optional
 
 from ._version import VERSION
 from .sequences import TernarySequence, verify
-from .words import Word, total_xor
+from .words import total_xor
 
 #: Exhaustive search stays desk-scale up to here; raise at your own risk.
 MAX_SEARCH_DIM = 6
 
-#: Applied in first mode at dimensions 5 and 6 when no budget is given.
-DEFAULT_FIRST_MODE_BUDGET = 10**9
+#: Applied to first and prove_none searches at dimensions 5 and 6 when no
+#: budget is given; a count is never budgeted by default.
+DEFAULT_NODE_BUDGET = 10**9
 
 #: search_randomized's tuning: shuffle attempts, node budget per attempt.
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
 
 #: The opening that symmetry reduction pins in the first two open slots
-#: (see canonical_prefix).
+#: (see SearchConfig).
 _OPENING = (1, 2)
 
 
@@ -61,6 +62,15 @@ class SearchConfig:
 
     count and prove_none answers require exhaustive traversal, so hitting
     the node budget in those modes raises rather than returning a guess.
+
+    symmetry_reduction pins the first two entries to the words 1 and 2.
+    That loses no generality for existence questions.  The defining
+    conditions are XOR equations, so any map in GL(n,2) carries ternary
+    permutations to ternary permutations; the first two entries of any
+    candidate are distinct and nonzero, hence linearly independent, and
+    some map in GL(n,2) takes them to (1, 2).  Solution counts are another
+    matter: a reduced count covers only sequences opening with (1, 2) and
+    is reported as such, never scaled up.
     """
 
     dim: int
@@ -101,23 +111,6 @@ class SearchOutcome:
     sequence: Optional[TernarySequence] = None
     count: Optional[int] = None
     nonexistent: Optional[bool] = None
-
-
-def canonical_prefix(dim: int) -> tuple[Word, Word]:
-    """The fixed opening pair (decimal 1, decimal 2) used under symmetry reduction.
-
-    Pinning the first two entries loses no generality for existence
-    questions.  The defining conditions are XOR equations, so any
-    invertible linear map of GF(2)^n carries ternary permutations to
-    ternary permutations; the first two entries of any candidate are
-    distinct and nonzero, hence linearly independent, and some invertible
-    map takes them to this pair.  Solution counts are another matter:
-    a reduced count covers only sequences opening with (1, 2) and is
-    reported as such, never scaled up.
-    """
-    if dim < 2:
-        raise ValueError(f"dimension must be at least 2, got {dim}")
-    return Word(_OPENING[0], dim), Word(_OPENING[1], dim)
 
 
 def _free_positions(dim: int) -> list[int]:
@@ -437,36 +430,34 @@ def search(config: SearchConfig) -> SearchOutcome:
     gives the answer: wherever the span of the used words grows, it walks
     one word outside the span and credits its subtree once per word of
     that word's GL(n,2) orbit (see _explore), so every answer and node
-    total is the one a scan of the whole tree gives.
+    total is the one a scan of the whole tree gives.  Without a budget,
+    first and prove_none searches at dimension 5 and above get
+    DEFAULT_NODE_BUDGET.
     """
     budget = config.node_budget
-    if budget is None and config.mode is SearchMode.FIRST and config.dim >= 5:
-        budget = DEFAULT_FIRST_MODE_BUDGET
+    if budget is None and config.mode is not SearchMode.COUNT and config.dim >= 5:
+        budget = DEFAULT_NODE_BUDGET
     prefix = _OPENING if config.symmetry_reduction else ()
     return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
 
 
 def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
-    """Hand the scaled walk's frontier out to worker processes.
+    """search(config), with a count's frontier handed out to at most `workers` processes.
 
+    Only a count without a budget is split: its result is a plain sum over
+    subtrees, whatever order they finish in.  A walk that stops, at its
+    first solution or at a budget, runs in this process as search(config).
     The frontier is the set of walked prefixes at which the span of the
     used words first fills GF(2)^n, each with the factor its subtree is
     credited by (see _explore); below them nothing scales.  Each worker
     walks one entry's subtree, and the total is the walk above the
-    frontier plus the sum of factor times each entry's count and nodes.
-    Only count and prove_none run here: their per-subtree results merge
-    by plain addition, so completion order does not matter.  first mode
-    stays sequential to keep its smallest-solution guarantee.  Node totals
-    match the sequential search exactly, except that prove_none workers
-    cannot short-circuit each other, so when solutions exist the parallel
-    total may be higher.
+    frontier plus the sum of factor times each entry's count and nodes,
+    the same count and nodes as search(config).
     """
-    if config.mode is SearchMode.FIRST:
-        raise ValueError("first mode is sequential; use search()")
-    if config.node_budget is not None:
-        raise ValueError("node budgets do not split across workers; run sequentially")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
+    if config.mode is not SearchMode.COUNT or config.node_budget is not None:
+        return search(config)
     frontier = []
     prefix = _OPENING if config.symmetry_reduction else ()
     first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)

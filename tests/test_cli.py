@@ -242,13 +242,18 @@ class TestSearch:
         assert run(capsys, *args) == (EXIT_OK, expected, "")
         assert run(capsys, *args, "--parallel", "2") == (EXIT_OK, expected, "")
 
-    def test_parallel_first_is_invalid(self, capsys):
-        code, _, err = run(
-            capsys, "search", "--dim", "3", "--mode", "first", "--parallel", "2"
-        )
-        assert code == EXIT_INVALID_INPUT
-        assert "sequential" in err
-        assert "drop --parallel" in err
+    @pytest.mark.parametrize(
+        "args,code",
+        [
+            (("--dim", "3", "--mode", "first"), EXIT_NONEXISTENT),
+            (("--dim", "4", "--mode", "count", "--budget", "5"), EXIT_BUDGET),
+        ],
+    )
+    def test_parallel_gives_the_answer_and_exit_of_a_walk_that_stops(self, capsys, args, code):
+        # a search that stops, at its first solution or at a budget, runs in one process
+        sequential = run(capsys, "search", *args)
+        assert sequential[0] == code
+        assert run(capsys, "search", *args, "--parallel", "2") == sequential
 
     def test_parallel_zero_workers_is_invalid(self, capsys):
         code, out, err = run(

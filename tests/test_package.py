@@ -20,7 +20,7 @@ PUBLIC = {
     "lift", "lift_place",
     # search
     "MAX_SEARCH_DIM", "BudgetExhaustedError", "ImpossibilityCertificate", "SearchConfig",
-    "SearchMode", "SearchOutcome", "canonical_prefix", "lemma_n3", "naive_count",
+    "SearchMode", "SearchOutcome", "lemma_n3", "naive_count",
     "prove_impossibility", "search", "search_parallel", "search_randomized",
     # catalog
     "BASE_DIMS", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
@@ -35,7 +35,7 @@ def module(name):
 
 
 def test_package_exports_the_pinned_names_once():
-    assert len(PUBLIC) == 41
+    assert len(PUBLIC) == 40
     assert set(ternaryperm.__all__) == PUBLIC
     assert len(ternaryperm.__all__) == len(PUBLIC)
 
@@ -73,6 +73,33 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def unused_imports(source):
+    """Names a module imports and neither uses nor lists in its __all__.
+
+    `from __future__` imports and star imports bind nothing to check.
+    """
+    tree = ast.parse(source)
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {alias.asname or alias.name for alias in node.names if alias.name != "*"}
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    exported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "__all__":
+            exported |= {e.value for e in node.value.elts if isinstance(e, ast.Constant)}
+    return imported - used - exported
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # what deleting a function can leave behind
+    assert unused_imports("import os\nfrom .words import Word, total_xor\ntotal_xor(3)\n") == {"os", "Word"}
+    for path in sorted((ROOT / "src" / "ternaryperm").glob("*.py")):
+        assert unused_imports(path.read_text(encoding="utf-8")) == set(), path.name
 
 
 def tracing_constants():

@@ -9,7 +9,6 @@ from ternaryperm.search import (
     BudgetExhaustedError,
     SearchConfig,
     SearchMode,
-    canonical_prefix,
     lemma_n3,
     naive_count,
     prove_impossibility,
@@ -19,7 +18,6 @@ from ternaryperm.search import (
 )
 from ternaryperm.search import _explore, _free_positions
 from ternaryperm.sequences import verify
-from ternaryperm.words import Word
 
 from conftest import BASE5_DECIMALS
 
@@ -142,16 +140,6 @@ class TestConfig:
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SearchConfig(dim=2, node_budget=0)
-
-
-class TestCanonicalPrefix:
-    def test_fixed_pair(self):
-        assert canonical_prefix(4) == (Word(1, 4), Word(2, 4))
-        assert canonical_prefix(2) == (Word(1, 2), Word(2, 2))
-
-    def test_rejects_dim_below_2(self):
-        with pytest.raises(ValueError):
-            canonical_prefix(1)
 
 
 class TestCounting:
@@ -333,6 +321,14 @@ ORBIT_CASES = [
 GL5 = 9999360
 
 
+def answer(driver, *args):
+    """A driver's outcome, or the node total of the budget error it raises."""
+    try:
+        return driver(*args)
+    except BudgetExhaustedError as exc:
+        return "budget exhausted", exc.nodes_explored
+
+
 def unscaled(dim, mode, prefix=(), node_budget=None, orders=None):
     return _explore(dim, mode, prefix, node_budget, orders, scale=False)
 
@@ -432,17 +428,27 @@ class TestOrbitScaling:
         assert _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == (BASE5_DECIMALS, 54656, 48145634)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])
-    @pytest.mark.parametrize(
-        "mode,reduce",
-        [
-            (SearchMode.COUNT, False), (SearchMode.COUNT, True),
-            (SearchMode.PROVE_NONE, False), (SearchMode.PROVE_NONE, True),
-        ],
-    )
+    @pytest.mark.parametrize("mode,reduce", [(mode, reduce) for mode in SearchMode for reduce in (False, True)])
     def test_parallel_matches_search(self, mode, reduce, workers):
+        # only a count without a budget reaches the pool (at n = 4 it hands
+        # out the frontier entry (1, 2, 4, 8)); budgets on either side of the
+        # tree's total, or of the node total where a first search stops
         for dim in (2, 3, 4):
-            config = SearchConfig(dim=dim, mode=mode, symmetry_reduction=reduce)
-            assert search_parallel(config, workers=workers) == search(config)
+            total = search(SearchConfig(dim, mode, reduce)).nodes_explored
+            for budget in (None, total - 1, total, total + 1):
+                if budget is not None and budget < 1:
+                    continue
+                config = SearchConfig(dim, mode, reduce, budget)
+                assert answer(search_parallel, config, workers) == answer(search, config)
+
+    @pytest.mark.parametrize("reduce,nodes", [(False, 3403051), (True, 3403049)])
+    @pytest.mark.parametrize("mode", [SearchMode.FIRST, SearchMode.PROVE_NONE])
+    def test_parallel_matches_search_at_n5(self, mode, reduce, nodes):
+        # a prove-none walk stops at its first solution, in one process
+        config = SearchConfig(5, mode, reduce)
+        outcome = search_parallel(config, workers=2)
+        assert outcome == search(config)
+        assert outcome.nodes_explored == nodes
 
     @pytest.mark.slow
     def test_the_number_of_ternary_permutations_at_n5(self):
@@ -473,6 +479,53 @@ class TestBudget:
         assert run(2, SearchMode.COUNT, budget=1000).count == 6
 
 
+class TestDefaultBudget:
+    @pytest.fixture
+    def module(self):
+        # the package re-exports the function search over the submodule's name
+        return importlib.import_module("ternaryperm.search")
+
+    @pytest.fixture
+    def budgets(self, module, monkeypatch):
+        """The node_budget each _explore call gets; the call walks nothing."""
+        seen = []
+
+        def watched(dim, mode, prefix=(), node_budget=None, *args, **kwargs):
+            seen.append(node_budget)
+            return None, 0, 0
+
+        monkeypatch.setattr(module, "_explore", watched)
+        return seen
+
+    @pytest.mark.parametrize("mode", [SearchMode.FIRST, SearchMode.PROVE_NONE])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_first_and_prove_none_stop_at_it_from_n5(self, module, monkeypatch, mode, reduce):
+        monkeypatch.setattr(module, "DEFAULT_NODE_BUDGET", 1000)
+        with pytest.raises(BudgetExhaustedError) as err:
+            run(5, mode, reduce)
+        assert err.value.nodes_explored == 1001
+
+    def test_which_searches_get_it(self, module, budgets):
+        run(5, SearchMode.COUNT)
+        run(6, SearchMode.COUNT, reduce=True)
+        for dim in (2, 3, 4):
+            for mode in SearchMode:
+                run(dim, mode)
+        assert budgets == [None] * 11
+        run(5, SearchMode.FIRST)
+        run(6, SearchMode.PROVE_NONE)
+        assert budgets[11:] == [module.DEFAULT_NODE_BUDGET] * 2
+
+    def test_a_given_budget_replaces_it(self, budgets):
+        run(5, SearchMode.PROVE_NONE, budget=7)
+        assert budgets == [7]
+
+    def test_prove_is_unaffected(self, module, monkeypatch):
+        monkeypatch.setattr(module, "DEFAULT_NODE_BUDGET", 1)
+        assert prove_impossibility(3).nodes_explored == 12
+        assert prove_impossibility(4).nodes_explored == 9348
+
+
 class TestParallel:
     def test_counts_and_nodes_match_sequential(self):
         for dim in (2, 3):
@@ -489,15 +542,13 @@ class TestParallel:
         assert parallel.nonexistent is True
         assert parallel.nodes_explored == sequential.nodes_explored
 
-    def test_first_mode_rejected(self):
-        with pytest.raises(ValueError):
-            search_parallel(SearchConfig(dim=3, mode=SearchMode.FIRST), workers=2)
-
-    def test_budget_rejected(self):
-        with pytest.raises(ValueError):
-            search_parallel(
-                SearchConfig(dim=3, mode=SearchMode.COUNT, node_budget=100), workers=2
-            )
+    def test_a_budget_stops_where_the_sequential_walk_does(self):
+        # the n = 3 count walks 553 nodes; a budget of 100 stops it at 101
+        config = SearchConfig(dim=3, mode=SearchMode.COUNT, node_budget=100)
+        with pytest.raises(BudgetExhaustedError) as exc:
+            search_parallel(config, workers=2)
+        assert exc.value.nodes_explored == 101
+        assert answer(search, config) == ("budget exhausted", 101)
 
     def test_no_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count must be positive, got 0"):
