@@ -15,14 +15,11 @@ __all__ = ["lift", "lift_place"]
 from array import array
 
 from .sequences import TernarySequence, lanes, unlanes, verify
-from .words import Word
 
 
-#: Splice suffixes, keyed by the block boundary they close: the output word
-#: is the zero word of the source dimension followed by this suffix.
-SPLICE_FIRST = Word(0b10, 2)
-SPLICE_SECOND = Word(0b11, 2)
-SPLICE_THIRD = Word(0b01, 2)
+#: The splice tag that closes block b = 0, 1, 2: the output word there is
+#: the zero word of the source dimension followed by this two-bit suffix.
+SPLICES = (0b10, 0b11, 0b01)
 
 
 #: The two-bit tag each family gives a source word at 1-based index i,
@@ -72,7 +69,7 @@ def lift_place(k: int, t: int) -> tuple[int, int]:
         raise ValueError(f"position must be in [1, {4 * k + 3}], got {t}")
     block, j = divmod(t - 1, k + 1)
     if j == k:
-        return 0, (SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD)[block].bits
+        return 0, SPLICES[block]
     i = j + 1 if block & 1 else k - j
     if block >= 2 and i <= 2:  # C and D swap source 1 and 2
         i = 3 - i
@@ -106,11 +103,11 @@ def lift(seq: TernarySequence) -> TernarySequence:
         for row in TAGS
     )
     out = a[::-1]
-    out.append(SPLICE_FIRST.bits)
+    out.append(SPLICES[0])
     out += b[: k - 2]
-    out.extend((b[k - 1], b[k - 2], SPLICE_SECOND.bits, c[k - 2], c[k - 1]))
+    out.extend((b[k - 1], b[k - 2], SPLICES[1], c[k - 2], c[k - 1]))
     out += c[k - 3 : 1 : -1]
-    out.extend((c[0], c[1], SPLICE_THIRD.bits, d[1], d[0]))
+    out.extend((c[0], c[1], SPLICES[2], d[1], d[0]))
     out += d[2:]
     result = TernarySequence._trusted(seq.dim + 2, tuple(out))  # in range by construction
     report = verify(result)

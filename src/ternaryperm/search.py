@@ -17,14 +17,14 @@ __all__ = [
 import random
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import partial
+from functools import partial, reduce
 from itertools import permutations
 from math import inf, prod
+from operator import xor
 from typing import Optional
 
 from ._version import VERSION
 from .sequences import TernarySequence, verify
-from .words import total_xor
 
 #: Exhaustive search stays desk-scale up to here; raise at your own risk.
 MAX_SEARCH_DIM = 6
@@ -532,7 +532,7 @@ def lemma_n3() -> bool:
     whole sequence XORs to zero, so if both outer triples vanished the
     middle word would have to be zero, which no entry is.
     """
-    return total_xor(3).is_zero
+    return reduce(xor, range(1, 8)) == 0
 
 
 @dataclass(frozen=True)

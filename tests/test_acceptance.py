@@ -22,10 +22,10 @@ from ternaryperm.catalog import (
     save,
 )
 from ternaryperm.cli import EXIT_OK, main
-from ternaryperm.lifting import SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD, TAGS, lift
+from ternaryperm.lifting import SPLICES, TAGS, lift
 from ternaryperm.search import SearchConfig, SearchMode, naive_count, prove_impossibility, search
 from ternaryperm.sequences import verify
-from ternaryperm.words import Word, concat, zero
+from ternaryperm.words import Word
 
 GENERATED_DIMS = (2, 5, 6, 7, 8, 9, 10, 11, 12)
 
@@ -80,16 +80,13 @@ def test_criterion_3_lift_correctness():
             lifted = lift(source)
             assert verify(lifted).valid
             k = 2**dim - 1
-            z = zero(dim)
             expected = Counter(
-                concat(source.words[i - 1], Word(row[i & 3], 2))
+                source.decimals[i - 1] << 2 | row[i & 3]
                 for i in range(1, k + 1)
                 for row in TAGS
             )
-            expected.update(
-                [concat(z, SPLICE_FIRST), concat(z, SPLICE_SECOND), concat(z, SPLICE_THIRD)]
-            )
-            assert Counter(lifted.words) == expected
+            expected.update(SPLICES)  # the zero word followed by each splice tag
+            assert Counter(lifted.decimals) == expected
 
 
 def test_criterion_4_modifier_tables():
@@ -123,7 +120,7 @@ def test_criterion_5_splice_identities():
                     ^ lifted.words[centre - 1]
                     ^ lifted.words[centre]
                 )
-                assert triple == zero(dim + 2)
+                assert triple == Word(0, dim + 2)
 
 
 def test_criterion_6_counting_oracle():

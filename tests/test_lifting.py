@@ -1,9 +1,9 @@
 import pytest
 
 from ternaryperm.catalog import generate
-from ternaryperm.lifting import SPLICE_FIRST, SPLICE_SECOND, SPLICE_THIRD, TAGS, lift, lift_place
+from ternaryperm.lifting import SPLICES, TAGS, lift, lift_place
 from ternaryperm.sequences import TernarySequence, verify
-from ternaryperm.words import Word, zero
+from ternaryperm.words import Word
 
 A, B, C, D = TAGS
 
@@ -65,9 +65,9 @@ class TestLayoutEntries:
 
     def test_splices_close_the_first_three_blocks(self):
         for k in (7, 15, 31):
-            assert lift_place(k, k + 1) == (0, 0b10) == (0, SPLICE_FIRST.bits)
-            assert lift_place(k, 2 * k + 2) == (0, 0b11) == (0, SPLICE_SECOND.bits)
-            assert lift_place(k, 3 * k + 3) == (0, 0b01) == (0, SPLICE_THIRD.bits)
+            assert lift_place(k, k + 1) == (0, 0b10) == (0, SPLICES[0])
+            assert lift_place(k, 2 * k + 2) == (0, 0b11) == (0, SPLICES[1])
+            assert lift_place(k, 3 * k + 3) == (0, 0b01) == (0, SPLICES[2])
 
     def test_length_is_4k_plus_3(self):
         # positions 0 and 4k + 4 (and -1, 4k + 5) are refused
@@ -94,17 +94,17 @@ class TestLayoutEntries:
         place = {t: lift_place(7, t) for t in range(1, 32)}
         assert place[1] == tagged(7, A)
         assert place[7] == tagged(1, A)
-        assert place[8] == (0, SPLICE_FIRST.bits)
+        assert place[8] == (0, SPLICES[0])
         assert place[9] == tagged(1, B)
         # the B block ends with the top source index before the one below it
         assert place[14] == tagged(7, B)
         assert place[15] == tagged(6, B)
-        assert place[16] == (0, SPLICE_SECOND.bits)
+        assert place[16] == (0, SPLICES[1])
         assert place[17] == tagged(6, C)
         assert place[18] == tagged(7, C)
         assert place[22] == tagged(1, C)
         assert place[23] == tagged(2, C)
-        assert place[24] == (0, SPLICE_THIRD.bits)
+        assert place[24] == (0, SPLICES[2])
         assert place[25] == tagged(2, D)
         assert place[26] == tagged(1, D)
         assert place[31] == tagged(7, D)
@@ -118,7 +118,7 @@ class TestLayoutEntries:
         assert len(tagged_places) == 4 * k
         assert len(set(tagged_places)) == 4 * k
         assert set(tagged_places) == {tagged(v, row) for v in range(1, k + 1) for row in TAGS}
-        assert splices == [SPLICE_FIRST.bits, SPLICE_SECOND.bits, SPLICE_THIRD.bits]
+        assert splices == list(SPLICES)
 
     @pytest.mark.parametrize("k", (7, 15))
     def test_even_windows_decompose(self, k):
@@ -172,7 +172,7 @@ class TestLift:
             triple = (
                 out.words[centre - 2] ^ out.words[centre - 1] ^ out.words[centre]
             )
-            assert triple == zero(7)
+            assert triple == Word(0, 7)
 
     def test_double_lift_reaches_dim9(self, base5):
         out = lift(lift(base5))
@@ -190,9 +190,9 @@ class TestLift:
                 continue
             window = [lift_place(k, s) for s in (t - 1, t, t + 1)]
             sources = [base5.words[i - 1] for i, _ in window]
-            assert sources[0] ^ sources[1] ^ sources[2] == zero(5)
+            assert sources[0] ^ sources[1] ^ sources[2] == Word(0, 5)
             tags = [Word(tag, 2) for _, tag in window]
-            assert tags[0] ^ tags[1] ^ tags[2] == zero(2)
+            assert tags[0] ^ tags[1] ^ tags[2] == Word(0, 2)
 
 
 def layout_walk(seq):
