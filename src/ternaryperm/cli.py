@@ -61,12 +61,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     sea = sub.add_parser("search", help="backtracking search over candidate sequences")
     sea.add_argument("--dim", type=int, required=True, help=f"dimension in [2, {MAX_SEARCH_DIM}]")
-    sea.add_argument("--mode", choices=("first", "count", "prove-none"), default="first")
+    sea.add_argument("--mode", choices=[m.value for m in SearchMode], default=SearchMode.FIRST.value)
     sea.add_argument(
         "--reduce",
         action=argparse.BooleanOptionalAction,
         default=False,
-        help="pin the first two entries to the canonical pair (1, 2)",
+        help="pin the first two entries to (1, 2); fixes the node totals, no longer saves time",
     )
     sea.add_argument("--budget", type=int, help="node budget; exhaustion is an error")
     sea.add_argument(
@@ -113,7 +113,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 def _cmd_search(args: argparse.Namespace) -> int:
     config = SearchConfig(
         dim=args.dim,
-        mode=SearchMode(args.mode.replace("-", "_")),
+        mode=args.mode,
         symmetry_reduction=args.reduce,
         node_budget=args.budget,
     )
@@ -129,10 +129,8 @@ def _cmd_search(args: argparse.Namespace) -> int:
             )
             return EXIT_NONEXISTENT
         _emit(format_sequence(outcome.sequence, args.format), args.out)
-    elif config.mode is SearchMode.COUNT:
-        _emit(f"{outcome.count}\n", args.out)
     else:
-        _emit(f"nonexistent={'true' if outcome.nonexistent else 'false'}\n", args.out)
+        _emit(f"{outcome.count}\n", args.out)
     return EXIT_OK
 
 

@@ -29,8 +29,7 @@ from .sequences import TernarySequence, verify
 #: Exhaustive search stays desk-scale up to here; raise at your own risk.
 MAX_SEARCH_DIM = 6
 
-#: Applied to first and prove_none searches at dimensions 5 and 6 when no
-#: budget is given; a count is never budgeted by default.
+#: Applied to first searches at dimensions 5 and 6 when no budget is given; never to a count.
 DEFAULT_NODE_BUDGET = 10**9
 
 #: search_randomized's tuning: shuffle attempts, node budget per attempt.
@@ -45,7 +44,6 @@ _OPENING = (1, 2)
 class SearchMode(Enum):
     FIRST = "first"
     COUNT = "count"
-    PROVE_NONE = "prove_none"
 
 
 class BudgetExhaustedError(Exception):
@@ -60,8 +58,8 @@ class BudgetExhaustedError(Exception):
 class SearchConfig:
     """What to search for and how hard to try.
 
-    count and prove_none answers require exhaustive traversal, so hitting
-    the node budget in those modes raises rather than returning a guess.
+    Hitting the node budget raises rather than returning a guess: a count,
+    or a first search that finds nothing, must traverse the whole tree.
 
     symmetry_reduction pins the first two entries to the words 1 and 2.
     That loses no generality for existence questions.  The defining
@@ -79,6 +77,8 @@ class SearchConfig:
     node_budget: Optional[int] = None
 
     def __post_init__(self) -> None:
+        if not isinstance(self.dim, int) or not isinstance(self.node_budget, (int, type(None))):
+            raise TypeError("dim must be an int, and node_budget an int or None")
         if not isinstance(self.mode, SearchMode):
             object.__setattr__(self, "mode", SearchMode(self.mode))
         if not 2 <= self.dim <= MAX_SEARCH_DIM:
@@ -100,8 +100,8 @@ class SearchOutcome:
     the used words grows, one word outside it is walked and its subtree's
     count and nodes are credited once per word of its GL(n,2) orbit (see
     _explore).  The total is the same as one candidate at a time, so
-    nodes per second counts these credited nodes too.  Fields other than
-    the one matching the mode stay None.
+    nodes per second counts these credited nodes too.  A first search
+    sets sequence, None when no solution exists; a count sets count.
     """
 
     dim: int
@@ -110,7 +110,6 @@ class SearchOutcome:
     nodes_explored: int
     sequence: Optional[TernarySequence] = None
     count: Optional[int] = None
-    nonexistent: Optional[bool] = None
 
 
 def _free_positions(dim: int) -> list[int]:
@@ -414,7 +413,6 @@ def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: in
         nodes_explored=nodes,
         sequence=sequence,
         count=count if config.mode is SearchMode.COUNT else None,
-        nonexistent=count == 0 if config.mode is SearchMode.PROVE_NONE else None,
     )
 
 
@@ -422,17 +420,15 @@ def search(config: SearchConfig) -> SearchOutcome:
     """Run the configured search to completion (or budget exhaustion).
 
     Mode semantics: first returns the smallest solution in candidate
-    order, or none after exhausting the space; count returns the exact
-    number of solutions found (of the reduced space when reduction is
-    on); prove_none reports True only after a full traversal finds
-    nothing, and short-circuits to False on the first solution.  One
-    scaled kernel walk from the empty prefix, or from (1, 2) when reduced,
-    gives the answer: wherever the span of the used words grows, it walks
-    one word outside the span and credits its subtree once per word of
-    that word's GL(n,2) orbit (see _explore), so every answer and node
-    total is the one a scan of the whole tree gives.  Without a budget,
-    first and prove_none searches at dimension 5 and above get
-    DEFAULT_NODE_BUDGET.
+    order, or none after exhausting the space, which proves that none
+    exists; count returns the exact number of solutions found (of the
+    reduced space when reduction is on).  One scaled kernel walk from the
+    empty prefix, or from (1, 2) when reduced, gives the answer: wherever
+    the span of the used words grows, it walks one word outside the span
+    and credits its subtree once per word of that word's GL(n,2) orbit
+    (see _explore), so every answer and node total is the one a scan of
+    the whole tree gives.  Without a budget, first searches at dimension
+    5 and above get DEFAULT_NODE_BUDGET.
     """
     budget = config.node_budget
     if budget is None and config.mode is not SearchMode.COUNT and config.dim >= 5:
@@ -454,6 +450,8 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     frontier plus the sum of factor times each entry's count and nodes,
     the same count and nodes as search(config).
     """
+    if not isinstance(workers, int):
+        raise TypeError(f"workers must be an int, got {type(workers).__name__}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
     if config.mode is not SearchMode.COUNT or config.node_budget is not None:
@@ -570,17 +568,17 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
     """
     if dim not in (3, 4):
         raise ValueError(f"exhaustive impossibility runs cover dimensions 3 and 4, got {dim}")
-    reduced = search(SearchConfig(dim=dim, mode=SearchMode.PROVE_NONE, symmetry_reduction=True))
+    reduced = search(SearchConfig(dim, SearchMode.FIRST, True))
     cross_nodes = None
     lemma = None
     if dim == 3:
-        _, count, cross_nodes = _explore(dim, SearchMode.PROVE_NONE, (), scale=False)
-        if (count == 0) != reduced.nonexistent:  # soundness tripwire
+        _, count, cross_nodes = _explore(dim, SearchMode.FIRST, (), scale=False)
+        if (count == 0) != (reduced.sequence is None):  # soundness tripwire
             raise RuntimeError("reduced and unreduced searches disagree")
         lemma = lemma_n3()
     return ImpossibilityCertificate(
         dim=dim,
-        nonexistent=bool(reduced.nonexistent),
+        nonexistent=reduced.sequence is None,
         symmetry_reduction=True,
         nodes_explored=reduced.nodes_explored,
         cross_check_unreduced_nodes=cross_nodes,

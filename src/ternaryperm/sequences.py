@@ -110,6 +110,8 @@ class TernarySequence:
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
         seq = cls._trusted(dim, tuple(values))
+        if not all(isinstance(value, int) for value in seq.decimals):
+            raise TypeError("values must be ints")
         if seq.decimals:
             for bad in (min(seq.decimals), max(seq.decimals)):
                 if not 0 <= bad < (1 << dim):

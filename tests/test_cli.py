@@ -213,9 +213,13 @@ class TestSearch:
         assert out == "n=2\n1 2 3\n"
 
     def test_prove_none_dim3(self, capsys):
-        code, out, _ = run(capsys, "search", "--dim", "3", "--mode", "prove-none")
-        assert code == EXIT_OK
-        assert out == "nonexistent=true\n"
+        # the retired mode is an invalid choice; a first search answers the question
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--dim", "3", "--mode", "prove-none"])
+        assert err.value.code == EXIT_INVALID_INPUT
+        stderr = capsys.readouterr().err
+        assert "invalid choice" in stderr and "prove-none" in stderr
+        assert run(capsys, "search", "--dim", "3", "--mode", "first")[0] == EXIT_NONEXISTENT
 
     def test_first_dim3_exits_nonexistent(self, capsys):
         code, out, err = run(capsys, "search", "--dim", "3", "--mode", "first")
@@ -235,7 +239,7 @@ class TestSearch:
         assert code == EXIT_OK
         assert out == "0\n"
 
-    @pytest.mark.parametrize("mode,expected", [("count", "1\n"), ("prove-none", "nonexistent=false\n")])
+    @pytest.mark.parametrize("mode,expected", [("count", "1\n"), ("first", "n=2\n1 2 3\n")])
     def test_parallel_with_nothing_to_split_gives_the_sequential_answer(self, capsys, mode, expected):
         # the reduction prefix (1, 2) fills every slot at dimension 2
         args = ("search", "--dim", "2", "--mode", mode, "--reduce")

@@ -1,9 +1,11 @@
 import ast
 import importlib
 import re
+import shlex
 from pathlib import Path
 
 import ternaryperm
+from ternaryperm.cli import build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("catalog", "lifting", "search", "sequences", "words")
@@ -80,6 +82,20 @@ def test_readme_python_examples_run():
     assert blocks
     for block in blocks:
         exec(compile(block, "README.md", "exec"), {})
+
+
+def test_readme_cli_examples_parse():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    lines = [
+        line
+        for block in re.findall(r"^```sh\n(.*?)^```", readme, re.M | re.S)
+        for line in block.splitlines()
+        if line.startswith("ternaryperm ")
+    ]
+    assert lines
+    parser = build_parser()
+    for line in lines:
+        parser.parse_args(shlex.split(line, comments=True)[1:])
 
 
 def unused_imports(source):

@@ -134,8 +134,19 @@ class TestConfig:
 
     def test_mode_coercion_from_string(self):
         assert SearchConfig(dim=2, mode="count").mode is SearchMode.COUNT
-        with pytest.raises(ValueError):
-            SearchConfig(dim=2, mode="everything")
+        assert [m.value for m in SearchMode] == ["first", "count"]
+        for mode in ("everything", "prove_none"):
+            with pytest.raises(ValueError):
+                SearchConfig(dim=2, mode=mode)
+
+    def test_rejects_non_integer_fields(self):
+        # a float dimension passed the range check and failed in the
+        # kernel's shifts; a float budget was reported as 11.5 nodes
+        for kwargs in ({"dim": 4.0}, {"dim": "4"}, {"dim": 4, "node_budget": 10.5}):
+            with pytest.raises(TypeError):
+                SearchConfig(**kwargs)
+        with pytest.raises(TypeError):
+            search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), 2.5)
 
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -188,26 +199,28 @@ class TestFirstMode:
         assert dim5_first_reduced.nodes_explored == 3403049
 
     def test_reruns_are_identical(self):
-        first = run(3, SearchMode.PROVE_NONE)
-        second = run(3, SearchMode.PROVE_NONE)
+        first = run(3, SearchMode.FIRST)
+        second = run(3, SearchMode.FIRST)
         assert first == second
 
 
 class TestProveNone:
+    """None exists at n exactly when a first search's sequence is None."""
+
     def test_dim3_nonexistent(self):
-        assert run(3, SearchMode.PROVE_NONE).nonexistent is True
+        assert run(3, SearchMode.FIRST).sequence is None
 
     def test_dim4_nonexistent_reduced(self):
-        assert run(4, SearchMode.PROVE_NONE, reduce=True).nonexistent is True
+        assert run(4, SearchMode.FIRST, reduce=True).sequence is None
 
     def test_dim2_not_nonexistent(self):
-        assert run(2, SearchMode.PROVE_NONE).nonexistent is False
+        assert run(2, SearchMode.FIRST).sequence is not None
 
     def test_reduction_consistency(self):
         for dim in (2, 3, 4):
-            reduced = run(dim, SearchMode.PROVE_NONE, reduce=True)
-            unreduced = run(dim, SearchMode.PROVE_NONE)
-            assert reduced.nonexistent == unreduced.nonexistent
+            reduced = run(dim, SearchMode.FIRST, reduce=True)
+            unreduced = run(dim, SearchMode.FIRST)
+            assert (reduced.sequence is None) == (unreduced.sequence is None)
 
 
 class TestCandidateOrder:
@@ -218,7 +231,7 @@ class TestCandidateOrder:
         [
             (2, SearchMode.COUNT, False, (6, 9)),
             (3, SearchMode.COUNT, False, (0, 553)),
-            (4, SearchMode.PROVE_NONE, True, (0, 9348)),
+            (4, SearchMode.FIRST, True, (0, 9348)),
         ],
     )
     def test_shuffled_orders_give_the_same_full_traversal(self, dim, mode, reduce, expected):
@@ -389,11 +402,10 @@ class TestOrbitScaling:
         # At dimension 2 both slots are ones where the span grows, and the
         # walk stops at the solution (1, 2, 3) with both credits pending.
         for prefix in ((), (1,)):
-            for mode in (SearchMode.FIRST, SearchMode.PROVE_NONE):
-                for budget in range(1, 4):
-                    expected = budgeted(reference_explore, 2, mode, prefix, budget)
-                    assert budgeted(_explore, 2, mode, prefix, budget) == expected
-                    assert budgeted(unscaled, 2, mode, prefix, budget) == expected
+            for budget in range(1, 4):
+                expected = budgeted(reference_explore, 2, SearchMode.FIRST, prefix, budget)
+                assert budgeted(_explore, 2, SearchMode.FIRST, prefix, budget) == expected
+                assert budgeted(unscaled, 2, SearchMode.FIRST, prefix, budget) == expected
         # At dimension 5 the first walk credits four subtrees of 16 copies
         # (at slots 6, 7, 7 and 6), none holding a solution, before the one
         # that does: budgets on either side of each credited total, of the
@@ -442,10 +454,9 @@ class TestOrbitScaling:
                 assert answer(search_parallel, config, workers) == answer(search, config)
 
     @pytest.mark.parametrize("reduce,nodes", [(False, 3403051), (True, 3403049)])
-    @pytest.mark.parametrize("mode", [SearchMode.FIRST, SearchMode.PROVE_NONE])
-    def test_parallel_matches_search_at_n5(self, mode, reduce, nodes):
-        # a prove-none walk stops at its first solution, in one process
-        config = SearchConfig(5, mode, reduce)
+    def test_parallel_matches_search_at_n5(self, reduce, nodes):
+        # a first search stops at its first solution, in one process
+        config = SearchConfig(5, SearchMode.FIRST, reduce)
         outcome = search_parallel(config, workers=2)
         assert outcome == search(config)
         assert outcome.nodes_explored == nodes
@@ -497,12 +508,11 @@ class TestDefaultBudget:
         monkeypatch.setattr(module, "_explore", watched)
         return seen
 
-    @pytest.mark.parametrize("mode", [SearchMode.FIRST, SearchMode.PROVE_NONE])
     @pytest.mark.parametrize("reduce", [False, True])
-    def test_first_and_prove_none_stop_at_it_from_n5(self, module, monkeypatch, mode, reduce):
+    def test_a_first_search_stops_at_it_from_n5(self, module, monkeypatch, reduce):
         monkeypatch.setattr(module, "DEFAULT_NODE_BUDGET", 1000)
         with pytest.raises(BudgetExhaustedError) as err:
-            run(5, mode, reduce)
+            run(5, SearchMode.FIRST, reduce)
         assert err.value.nodes_explored == 1001
 
     def test_which_searches_get_it(self, module, budgets):
@@ -511,13 +521,13 @@ class TestDefaultBudget:
         for dim in (2, 3, 4):
             for mode in SearchMode:
                 run(dim, mode)
-        assert budgets == [None] * 11
+        assert budgets == [None] * 8
         run(5, SearchMode.FIRST)
-        run(6, SearchMode.PROVE_NONE)
-        assert budgets[11:] == [module.DEFAULT_NODE_BUDGET] * 2
+        run(6, SearchMode.FIRST, reduce=True)
+        assert budgets[8:] == [module.DEFAULT_NODE_BUDGET] * 2
 
     def test_a_given_budget_replaces_it(self, budgets):
-        run(5, SearchMode.PROVE_NONE, budget=7)
+        run(5, SearchMode.FIRST, budget=7)
         assert budgets == [7]
 
     def test_prove_is_unaffected(self, module, monkeypatch):
@@ -535,11 +545,11 @@ class TestParallel:
             assert parallel.nodes_explored == sequential.nodes_explored
 
     def test_prove_none_dim4(self):
-        sequential = run(4, SearchMode.PROVE_NONE, reduce=True)
+        sequential = run(4, SearchMode.FIRST, reduce=True)
         parallel = search_parallel(
-            SearchConfig(dim=4, mode=SearchMode.PROVE_NONE, symmetry_reduction=True), workers=2
+            SearchConfig(dim=4, mode=SearchMode.FIRST, symmetry_reduction=True), workers=2
         )
-        assert parallel.nonexistent is True
+        assert parallel.sequence is None
         assert parallel.nodes_explored == sequential.nodes_explored
 
     def test_a_budget_stops_where_the_sequential_walk_does(self):
@@ -586,7 +596,7 @@ class TestRandomizedDiscovery:
 
     @pytest.mark.parametrize("dim,nodes", [(3, 12), (4, 9348)])
     def test_one_finished_attempt_settles_nonexistence(self, dim, nodes):
-        # the reduced prove-none tree, walked once rather than once per attempt
+        # the whole reduced tree, walked once rather than once per attempt
         outcome = search_randomized(dim, seed=0)
         assert outcome.sequence is None
         assert outcome.nodes_explored == nodes

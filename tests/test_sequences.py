@@ -67,6 +67,12 @@ class TestSequenceType:
         with pytest.raises(ValueError):
             seq(2, (1, -1, 2))
 
+    def test_from_decimals_rejects_non_integer_values(self):
+        # a float passed the range check, and verify() then raised TypeError
+        for values in ([1.0, 2.0, 3.0], [1, 2.5, 3], [1, "2", 3]):
+            with pytest.raises(TypeError, match="values must be ints"):
+                seq(2, values)
+
     def test_both_constructors_agree(self):
         from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])
         from_ints = seq(3, [1, 2, 3, 4, 5, 6, 7])
