@@ -17,14 +17,13 @@ __all__ = [
 import os
 import stat
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Optional, Union
 
 from .lifting import lift
 from .search import SearchConfig, search, search_randomized
 from .sequences import TernarySequence, VerificationReport, le_bytes, le_values, verify
-from .words import MAX_DIM
+from .words import MAX_DIM, _Frozen
 
 BASE_DIMS = (2, 5, 6)
 FORMATS = ("decimal", "binary")
@@ -145,7 +144,11 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     _check_format(fmt)
     if fmt == "binary":
         return _format_binary(seq)
-    return f"n={seq.dim}\n" + " ".join(map(str, seq.decimals)) + "\n"
+    values = seq.decimals
+    # one %-format over all the values runs in C; it takes less than half
+    # the time of " ".join(map(str, values))
+    body = ("%d " * (len(values) - 1) + "%d") % values if values else ""
+    return f"n={seq.dim}\n{body}\n"
 
 
 def _check_format(fmt: str) -> None:
@@ -337,13 +340,16 @@ def _scan_lines(body: str, dim: int, fmt: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-@dataclass(frozen=True)
-class LoadResult:
+class LoadResult(_Frozen):
     """A parsed sequence plus what load() learned about it."""
 
     sequence: TernarySequence
     format: str
     report: VerificationReport
+    _fields = ("sequence", "format", "report")
+
+    def __init__(self, sequence: TernarySequence, format: str, report: VerificationReport):
+        self._assign(sequence=sequence, format=format, report=report)
 
 
 Source = Union[str, Path, IO[str]]

@@ -15,7 +15,6 @@ __all__ = [
 ]
 
 import random
-from dataclasses import dataclass, fields
 from enum import Enum
 from functools import partial, reduce
 from itertools import permutations
@@ -25,6 +24,7 @@ from typing import Optional
 
 from ._version import VERSION
 from .sequences import TernarySequence, verify
+from .words import _Frozen
 
 #: Exhaustive search stays desk-scale up to here; raise at your own risk.
 MAX_SEARCH_DIM = 6
@@ -54,8 +54,7 @@ class BudgetExhaustedError(Exception):
         self.nodes_explored = nodes_explored
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(_Frozen):
     """What to search for and how hard to try.
 
     Hitting the node budget raises rather than returning a guess: a count,
@@ -72,23 +71,29 @@ class SearchConfig:
     """
 
     dim: int
-    mode: SearchMode = SearchMode.FIRST
-    symmetry_reduction: bool = False
-    node_budget: Optional[int] = None
+    mode: SearchMode
+    symmetry_reduction: bool
+    node_budget: Optional[int]
+    _fields = ("dim", "mode", "symmetry_reduction", "node_budget")
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.dim, int) or not isinstance(self.node_budget, (int, type(None))):
+    def __init__(
+        self,
+        dim: int,
+        mode: SearchMode = SearchMode.FIRST,
+        symmetry_reduction: bool = False,
+        node_budget: Optional[int] = None,
+    ):
+        if not isinstance(dim, int) or not isinstance(node_budget, (int, type(None))):
             raise TypeError("dim must be an int, and node_budget an int or None")
-        if not isinstance(self.mode, SearchMode):
-            object.__setattr__(self, "mode", SearchMode(self.mode))
-        if not 2 <= self.dim <= MAX_SEARCH_DIM:
-            raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {self.dim}")
-        if self.node_budget is not None and self.node_budget < 1:
-            raise ValueError(f"node budget must be positive, got {self.node_budget}")
+        mode = SearchMode(mode)
+        if not 2 <= dim <= MAX_SEARCH_DIM:
+            raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
+        if node_budget is not None and node_budget < 1:
+            raise ValueError(f"node budget must be positive, got {node_budget}")
+        self._assign(dim=dim, mode=mode, symmetry_reduction=symmetry_reduction, node_budget=node_budget)
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(_Frozen):
     """Result of one search run.
 
     nodes_explored counts candidate assignments attempted at open slots,
@@ -108,8 +113,27 @@ class SearchOutcome:
     mode: SearchMode
     symmetry_reduction: bool
     nodes_explored: int
-    sequence: Optional[TernarySequence] = None
-    count: Optional[int] = None
+    sequence: Optional[TernarySequence]
+    count: Optional[int]
+    _fields = ("dim", "mode", "symmetry_reduction", "nodes_explored", "sequence", "count")
+
+    def __init__(
+        self,
+        dim: int,
+        mode: SearchMode,
+        symmetry_reduction: bool,
+        nodes_explored: int,
+        sequence: Optional[TernarySequence] = None,
+        count: Optional[int] = None,
+    ):
+        self._assign(
+            dim=dim,
+            mode=mode,
+            symmetry_reduction=symmetry_reduction,
+            nodes_explored=nodes_explored,
+            sequence=sequence,
+            count=count,
+        )
 
 
 def _free_positions(dim: int) -> list[int]:
@@ -448,7 +472,8 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     credited by (see _explore); below them nothing scales.  Each worker
     walks one entry's subtree, and the total is the walk above the
     frontier plus the sum of factor times each entry's count and nodes,
-    the same count and nodes as search(config).
+    the same count and nodes as search(config).  No pool is started for
+    a single entry or a single worker (see _walk_subtrees).
     """
     if not isinstance(workers, int):
         raise TypeError(f"workers must be an int, got {type(workers).__name__}")
@@ -460,16 +485,30 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     prefix = _OPENING if config.symmetry_reduction else ()
     first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)
     if frontier:
-        # imported here: it pulls in multiprocessing, which no other command needs
-        from concurrent.futures import ProcessPoolExecutor
-
         prefixes, factors = zip(*frontier)
-        with ProcessPoolExecutor(max_workers=min(workers, len(frontier))) as pool:
-            results = pool.map(partial(_explore, config.dim, config.mode), prefixes)
-            for copies, (_, sub_count, sub_nodes) in zip(factors, results):
-                count += copies * sub_count
-                nodes += copies * sub_nodes
+        results = _walk_subtrees(config.dim, config.mode, prefixes, workers)
+        for copies, (_, sub_count, sub_nodes) in zip(factors, results):
+            count += copies * sub_count
+            nodes += copies * sub_nodes
     return _outcome(config, first, count, nodes)
+
+
+def _walk_subtrees(dim: int, mode: SearchMode, prefixes: tuple, workers: int) -> list:
+    """[_explore(dim, mode, prefix) for prefix in prefixes], on min(workers, len(prefixes)) processes.
+
+    With one, the walks run in this process: a pool of one worker would
+    only add its start-up to the same walks.  Every count at n <= 4 has at
+    most one frontier entry, so only larger ones start a pool.
+    """
+    walk = partial(_explore, dim, mode)
+    processes = min(workers, len(prefixes))
+    if processes == 1:
+        return list(map(walk, prefixes))
+    # imported here: it pulls in multiprocessing, which no other command needs
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=processes) as pool:
+        return list(pool.map(walk, prefixes))
 
 
 def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
@@ -533,27 +572,50 @@ def lemma_n3() -> bool:
     return reduce(xor, range(1, 8)) == 0
 
 
-@dataclass(frozen=True)
-class ImpossibilityCertificate:
+class ImpossibilityCertificate(_Frozen):
     """Record of an exhaustive nonexistence run, printable as key=value lines."""
 
     dim: int
     nonexistent: bool
     symmetry_reduction: bool
     nodes_explored: int
-    cross_check_unreduced_nodes: Optional[int] = None
-    total_xor_zero: Optional[bool] = None
-    verifier_version: str = VERSION
+    cross_check_unreduced_nodes: Optional[int]
+    total_xor_zero: Optional[bool]
+    verifier_version: str
+    _fields = (
+        "dim", "nonexistent", "symmetry_reduction", "nodes_explored",
+        "cross_check_unreduced_nodes", "total_xor_zero", "verifier_version",
+    )
+
+    def __init__(
+        self,
+        dim: int,
+        nonexistent: bool,
+        symmetry_reduction: bool,
+        nodes_explored: int,
+        cross_check_unreduced_nodes: Optional[int] = None,
+        total_xor_zero: Optional[bool] = None,
+        verifier_version: str = VERSION,
+    ):
+        self._assign(
+            dim=dim,
+            nonexistent=nonexistent,
+            symmetry_reduction=symmetry_reduction,
+            nodes_explored=nodes_explored,
+            cross_check_unreduced_nodes=cross_check_unreduced_nodes,
+            total_xor_zero=total_xor_zero,
+            verifier_version=verifier_version,
+        )
 
     def to_text(self) -> str:
         """One key=value line per field in declaration order; None fields are left out."""
         lines = []
-        for field in fields(self):
-            value = getattr(self, field.name)
+        for name in self._fields:
+            value = getattr(self, name)
             if value is not None:
                 if isinstance(value, bool):
                     value = "true" if value else "false"
-                lines.append(f"{field.name}={value}")
+                lines.append(f"{name}={value}")
         return "\n".join(lines) + "\n"
 
 

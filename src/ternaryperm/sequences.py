@@ -11,11 +11,10 @@ __all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "veri
 
 import sys
 from array import array
-from dataclasses import dataclass
 from itertools import compress, count
 from typing import Iterable, Iterator, Optional
 
-from .words import MAX_DIM, Word
+from .words import MAX_DIM, Word, _Frozen
 
 # The whole-buffer paths here, in lifting and in catalog pack one word per
 # 32-bit lane of an array('I'); MAX_DIM <= 30 keeps every value and its
@@ -51,30 +50,33 @@ def le_values(data: bytes) -> array:
     return words
 
 
-@dataclass(frozen=True)
-class VerificationFailure:
+class VerificationFailure(_Frozen):
     kind: str
     index: int
     detail: str
+    _fields = ("kind", "index", "detail")
+
+    def __init__(self, kind: str, index: int, detail: str):
+        self._assign(kind=kind, index=index, detail=detail)
 
     def __str__(self) -> str:
         return f"{self.kind} at i={self.index}: {self.detail}"
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(_Frozen):
     """Outcome of verify(): valid, or the first violation found."""
 
     valid: bool
-    failure: Optional[VerificationFailure] = None
+    failure: Optional[VerificationFailure]
+    _fields = ("valid", "failure")
 
-    def __post_init__(self) -> None:
-        if self.valid == (self.failure is not None):
+    def __init__(self, valid: bool, failure: Optional[VerificationFailure] = None):
+        if valid == (failure is not None):
             raise ValueError("a report is valid exactly when it carries no failure")
+        self._assign(valid=valid, failure=failure)
 
 
-@dataclass(frozen=True, init=False)
-class TernarySequence:
+class TernarySequence(_Frozen):
     """An ordered run of words claimed to be a ternary permutation.
 
     Holding a TernarySequence certifies nothing; run verify() for that.
@@ -83,11 +85,12 @@ class TernarySequence:
     values; .words builds the Word objects on first read, and verify()
     keeps its report on the instance.  Instances are immutable, and
     compare, hash and pickle by (dim, decimals) alone: those are the
-    dataclass's fields, and _words and _report are plain attributes.
+    fields, and _words and _report are plain attributes.
     """
 
     dim: int
     decimals: tuple[int, ...]
+    _fields = ("dim", "decimals")
 
     def __init__(self, dim: int, words: Iterable[Word]):
         words = tuple(words)
@@ -98,14 +101,13 @@ class TernarySequence:
 
     def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
         """Fill a new instance; every constructor passes here, so the dimension is checked here."""
+        if not isinstance(dim, int):
+            raise TypeError(f"dim must be an int, got {type(dim).__name__}")
         if dim < 2:
             raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
         if dim > MAX_DIM:
             raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "decimals", decimals)
-        object.__setattr__(self, "_words", words)
-        object.__setattr__(self, "_report", None)
+        self._assign(dim=dim, decimals=decimals, _words=words, _report=None)
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":

@@ -1,10 +1,11 @@
-"""Bitmask words over GF(2)^n: the public value type, with XOR and printing."""
+"""Bitmask words over GF(2)^n: the public value type, with XOR and printing.
+
+Also the frozen base that the package's value types share.
+"""
 
 from __future__ import annotations
 
 __all__ = ["MAX_DIM", "Word"]
-
-from dataclasses import dataclass
 
 # The whole-buffer paths pack one word per 32-bit lane of an array('I')
 # (see the lane check in sequences.py), and a lift shifts each value left
@@ -12,8 +13,51 @@ from dataclasses import dataclass
 MAX_DIM = 30
 
 
-@dataclass(frozen=True)
-class Word:
+class _Frozen:
+    """Base of the package's immutable value types, over the attribute names in _fields.
+
+    repr, equality and hash go by the fields in order, as for a frozen
+    dataclass: equal only to an instance of the same class, hash the hash
+    of the tuple of fields.  Each class's __init__ checks its arguments
+    and sets them with _assign; any later assignment or deletion raises
+    dataclasses.FrozenInstanceError.  The dataclasses module is imported
+    on that error path alone: importing it (it brings inspect, ast, dis
+    and tokenize) and generating the methods of eight classes came to
+    about 40% of the package's import time.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _assign(self, **values) -> None:
+        self.__dict__.update(values)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __repr__(self) -> str:
+        args = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({args})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __setattr__(self, name: str, value: object) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        from dataclasses import FrozenInstanceError
+
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+class Word(_Frozen):
     """An n-bit vector stored as an unsigned bitmask.
 
     Bit j holds coordinate j.  The string form reads most significant bit
@@ -23,16 +67,17 @@ class Word:
 
     bits: int
     dim: int
+    _fields = ("bits", "dim")
 
-    def __post_init__(self) -> None:
-        for name in ("bits", "dim"):
-            value = getattr(self, name)
+    def __init__(self, bits: int, dim: int):
+        for name, value in (("bits", bits), ("dim", dim)):
             if not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if not 1 <= self.dim <= MAX_DIM:
-            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {self.dim}")
-        if not 0 <= self.bits < (1 << self.dim):
-            raise ValueError(f"bits {self.bits} out of range for dimension {self.dim}")
+        if not 1 <= dim <= MAX_DIM:
+            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
+        if not 0 <= bits < (1 << dim):
+            raise ValueError(f"bits {bits} out of range for dimension {dim}")
+        self._assign(bits=bits, dim=dim)
 
     @property
     def is_zero(self) -> bool:

@@ -2,6 +2,8 @@ import ast
 import importlib
 import re
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import ternaryperm
@@ -96,6 +98,28 @@ def test_readme_cli_examples_parse():
     parser = build_parser()
     for line in lines:
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+#: Run with `python -S`, so that site's own imports stay out of sys.modules.
+IMPORT_GRAPH_CHECK = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from ternaryperm import cli
+heavy = ("dataclasses", "inspect", "concurrent.futures")
+print(*[name for name in heavy if name in sys.modules])
+cli.main(["search", "--dim", "4", "--mode", "count", "--parallel", "2"])
+print("concurrent.futures" in sys.modules)
+"""
+
+
+def test_commands_import_neither_dataclasses_nor_a_process_pool():
+    # dataclasses would bring inspect, ast, dis and tokenize into every
+    # command; the n = 4 count's frontier has one entry, walked in process
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", IMPORT_GRAPH_CHECK, str(ROOT / "src")],
+        capture_output=True, text=True, check=True,
+    )
+    assert result.stdout == "\n0\nFalse\n"
 
 
 def unused_imports(source):

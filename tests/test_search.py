@@ -1,3 +1,4 @@
+import concurrent.futures
 import importlib
 import random
 
@@ -16,7 +17,7 @@ from ternaryperm.search import (
     search_parallel,
     search_randomized,
 )
-from ternaryperm.search import _explore, _free_positions
+from ternaryperm.search import _explore, _free_positions, _walk_subtrees
 from ternaryperm.sequences import verify
 
 from conftest import BASE5_DECIMALS
@@ -559,6 +560,32 @@ class TestParallel:
             search_parallel(config, workers=2)
         assert exc.value.nodes_explored == 101
         assert answer(search, config) == ("budget exhausted", 101)
+
+    def test_a_frontier_of_several_entries_goes_through_the_pool(self, monkeypatch):
+        # no frontier at n <= 4 has two entries, and one entry is walked in
+        # process; the words of (1, 2, 4, 8, 5) span {0, ..., 15}, and below
+        # it the span fills wherever 16 is placed, each time with factor 16
+        frontier = []
+        _, count, nodes = _explore(5, SearchMode.COUNT, (1, 2, 4, 8, 5), frontier=frontier)
+        prefixes, factors = zip(*frontier)
+        assert len(prefixes) == 5 and set(factors) == {16}
+        pools = []
+
+        class Recorded(concurrent.futures.ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorded)
+        in_process = _walk_subtrees(5, SearchMode.COUNT, prefixes, 1)
+        assert pools == []
+        pooled = _walk_subtrees(5, SearchMode.COUNT, prefixes, 2)
+        assert pools == [2]
+        assert pooled == in_process
+        for copies, (_, sub_count, sub_nodes) in zip(factors, pooled):
+            count += copies * sub_count
+            nodes += copies * sub_nodes
+        assert (count, nodes) == (54656, 48145634)  # the slow test's unscaled walk
 
     def test_no_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count must be positive, got 0"):

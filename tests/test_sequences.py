@@ -73,6 +73,13 @@ class TestSequenceType:
             with pytest.raises(TypeError, match="values must be ints"):
                 seq(2, values)
 
+    def test_rejects_non_integer_dimension(self):
+        # 2.0 passed the range and per-word checks, and verify() then raised TypeError
+        with pytest.raises(TypeError, match="dim must be an int, got float"):
+            TernarySequence.from_decimals(2.0, ())
+        with pytest.raises(TypeError, match="dim must be an int, got float"):
+            TernarySequence(2.0, [Word(1, 2)])
+
     def test_both_constructors_agree(self):
         from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])
         from_ints = seq(3, [1, 2, 3, 4, 5, 6, 7])
