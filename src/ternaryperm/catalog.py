@@ -346,7 +346,6 @@ class LoadResult(_Frozen):
     sequence: TernarySequence
     format: str
     report: VerificationReport
-    _fields = ("sequence", "format", "report")
 
     def __init__(self, sequence: TernarySequence, format: str, report: VerificationReport):
         self._assign(sequence=sequence, format=format, report=report)

@@ -74,7 +74,6 @@ class SearchConfig(_Frozen):
     mode: SearchMode
     symmetry_reduction: bool
     node_budget: Optional[int]
-    _fields = ("dim", "mode", "symmetry_reduction", "node_budget")
 
     def __init__(
         self,
@@ -85,6 +84,8 @@ class SearchConfig(_Frozen):
     ):
         if not isinstance(dim, int) or not isinstance(node_budget, (int, type(None))):
             raise TypeError("dim must be an int, and node_budget an int or None")
+        if not isinstance(symmetry_reduction, bool):
+            raise TypeError(f"symmetry_reduction must be a bool, got {type(symmetry_reduction).__name__}")
         mode = SearchMode(mode)
         if not 2 <= dim <= MAX_SEARCH_DIM:
             raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
@@ -115,7 +116,6 @@ class SearchOutcome(_Frozen):
     nodes_explored: int
     sequence: Optional[TernarySequence]
     count: Optional[int]
-    _fields = ("dim", "mode", "symmetry_reduction", "nodes_explored", "sequence", "count")
 
     def __init__(
         self,
@@ -441,48 +441,44 @@ def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: in
 
 
 def search(config: SearchConfig) -> SearchOutcome:
-    """Run the configured search to completion (or budget exhaustion).
+    """search_parallel(config, 1): the configured search, every walk in this process."""
+    return search_parallel(config, 1)
+
+
+def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
+    """Run the configured search to completion (or budget exhaustion), on at most `workers` processes.
 
     Mode semantics: first returns the smallest solution in candidate
     order, or none after exhausting the space, which proves that none
     exists; count returns the exact number of solutions found (of the
-    reduced space when reduction is on).  One scaled kernel walk from the
-    empty prefix, or from (1, 2) when reduced, gives the answer: wherever
-    the span of the used words grows, it walks one word outside the span
-    and credits its subtree once per word of that word's GL(n,2) orbit
-    (see _explore), so every answer and node total is the one a scan of
-    the whole tree gives.  Without a budget, first searches at dimension
-    5 and above get DEFAULT_NODE_BUDGET.
-    """
-    budget = config.node_budget
-    if budget is None and config.mode is not SearchMode.COUNT and config.dim >= 5:
-        budget = DEFAULT_NODE_BUDGET
-    prefix = _OPENING if config.symmetry_reduction else ()
-    return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
+    reduced space when reduction is on).  The kernel walks from the empty
+    prefix, or from (1, 2) when reduced; wherever the span of the used
+    words grows, it walks one word outside the span and credits its
+    subtree once per word of that word's GL(n,2) orbit (see _explore), so
+    every answer and node total is the one a scan of the whole tree gives.
 
-
-def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
-    """search(config), with a count's frontier handed out to at most `workers` processes.
-
-    Only a count without a budget is split: its result is a plain sum over
-    subtrees, whatever order they finish in.  A walk that stops, at its
-    first solution or at a budget, runs in this process as search(config).
-    The frontier is the set of walked prefixes at which the span of the
-    used words first fills GF(2)^n, each with the factor its subtree is
-    credited by (see _explore); below them nothing scales.  Each worker
-    walks one entry's subtree, and the total is the walk above the
-    frontier plus the sum of factor times each entry's count and nodes,
-    the same count and nodes as search(config).  No pool is started for
-    a single entry or a single worker (see _walk_subtrees).
+    A walk that can stop, at its first solution or at a budget, is one
+    kernel walk in this process: a budget is checked in walk order.
+    Without a budget, first searches at dimension 5 and above get
+    DEFAULT_NODE_BUDGET.  A count without a budget is a plain sum over
+    subtrees, whatever order they finish in.  It walks down to its
+    frontier, the walked prefixes at which the span first fills GF(2)^n,
+    each with the factor its subtree is credited by; below them nothing
+    scales.  The total is the walk above the frontier plus factor times
+    each entry's count and nodes, the entries walked by _walk_subtrees,
+    in this process for a single entry or a single worker.
     """
     if not isinstance(workers, int):
         raise TypeError(f"workers must be an int, got {type(workers).__name__}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
-    if config.mode is not SearchMode.COUNT or config.node_budget is not None:
-        return search(config)
-    frontier = []
+    budget = config.node_budget
     prefix = _OPENING if config.symmetry_reduction else ()
+    if config.mode is SearchMode.FIRST or budget is not None:
+        if budget is None and config.dim >= 5:
+            budget = DEFAULT_NODE_BUDGET
+        return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
+    frontier = []
     first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)
     if frontier:
         prefixes, factors = zip(*frontier)
@@ -582,10 +578,6 @@ class ImpossibilityCertificate(_Frozen):
     cross_check_unreduced_nodes: Optional[int]
     total_xor_zero: Optional[bool]
     verifier_version: str
-    _fields = (
-        "dim", "nonexistent", "symmetry_reduction", "nodes_explored",
-        "cross_check_unreduced_nodes", "total_xor_zero", "verifier_version",
-    )
 
     def __init__(
         self,

@@ -54,7 +54,6 @@ class VerificationFailure(_Frozen):
     kind: str
     index: int
     detail: str
-    _fields = ("kind", "index", "detail")
 
     def __init__(self, kind: str, index: int, detail: str):
         self._assign(kind=kind, index=index, detail=detail)
@@ -68,7 +67,6 @@ class VerificationReport(_Frozen):
 
     valid: bool
     failure: Optional[VerificationFailure]
-    _fields = ("valid", "failure")
 
     def __init__(self, valid: bool, failure: Optional[VerificationFailure] = None):
         if valid == (failure is not None):
@@ -90,7 +88,6 @@ class TernarySequence(_Frozen):
 
     dim: int
     decimals: tuple[int, ...]
-    _fields = ("dim", "decimals")
 
     def __init__(self, dim: int, words: Iterable[Word]):
         words = tuple(words)

@@ -16,7 +16,9 @@ MAX_DIM = 30
 class _Frozen:
     """Base of the package's immutable value types, over the attribute names in _fields.
 
-    repr, equality and hash go by the fields in order, as for a frozen
+    A subclass's fields are its own class annotations, in order, read from
+    its __dict__ when the class is made (every module imports annotations
+    from __future__, so they are stored there as strings).  repr, equality and hash go by the fields in order, as for a frozen
     dataclass: equal only to an instance of the same class, hash the hash
     of the tuple of fields.  Each class's __init__ checks its arguments
     and sets them with _assign; any later assignment or deletion raises
@@ -27,6 +29,10 @@ class _Frozen:
     """
 
     _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        super().__init_subclass__()
+        cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
 
     def _assign(self, **values) -> None:
         self.__dict__.update(values)
@@ -67,7 +73,6 @@ class Word(_Frozen):
 
     bits: int
     dim: int
-    _fields = ("bits", "dim")
 
     def __init__(self, bits: int, dim: int):
         for name, value in (("bits", bits), ("dim", dim)):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import ternaryperm
 from ternaryperm.cli import build_parser
+from ternaryperm.words import _Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = ("catalog", "lifting", "search", "sequences", "words")
@@ -107,19 +108,44 @@ sys.path.insert(0, sys.argv[1])
 from ternaryperm import cli
 heavy = ("dataclasses", "inspect", "concurrent.futures")
 print(*[name for name in heavy if name in sys.modules])
-cli.main(["search", "--dim", "4", "--mode", "count", "--parallel", "2"])
-print("concurrent.futures" in sys.modules)
+for workers in ([], ["--parallel", "2"]):
+    cli.main(["search", "--dim", "4", "--mode", "count", *workers])
+    print("concurrent.futures" in sys.modules)
 """
 
 
 def test_commands_import_neither_dataclasses_nor_a_process_pool():
     # dataclasses would bring inspect, ast, dis and tokenize into every
-    # command; the n = 4 count's frontier has one entry, walked in process
+    # command; every count walks its frontier, and the n = 4 count's one
+    # entry is walked in process, with or without --parallel
     result = subprocess.run(
         [sys.executable, "-S", "-c", IMPORT_GRAPH_CHECK, str(ROOT / "src")],
         capture_output=True, text=True, check=True,
     )
-    assert result.stdout == "\n0\nFalse\n"
+    assert result.stdout == "\n0\nFalse\n0\nFalse\n"
+
+
+#: The fields of each value type, in order: repr, == and hash go by them.
+FIELDS = {
+    "Word": ("bits", "dim"),
+    "TernarySequence": ("dim", "decimals"),
+    "VerificationFailure": ("kind", "index", "detail"),
+    "VerificationReport": ("valid", "failure"),
+    "SearchConfig": ("dim", "mode", "symmetry_reduction", "node_budget"),
+    "SearchOutcome": ("dim", "mode", "symmetry_reduction", "nodes_explored", "sequence", "count"),
+    "ImpossibilityCertificate": (
+        "dim", "nonexistent", "symmetry_reduction", "nodes_explored",
+        "cross_check_unreduced_nodes", "total_xor_zero", "verifier_version",
+    ),
+    "LoadResult": ("sequence", "format", "report"),
+}
+
+
+def test_the_value_types_fields_are_their_annotations():
+    # a field left out of a hand-written list dropped out of repr, == and hash
+    assert {cls.__name__ for cls in _Frozen.__subclasses__()} == set(FIELDS)
+    for name, fields in FIELDS.items():
+        assert getattr(ternaryperm, name)._fields == fields, name
 
 
 def unused_imports(source):

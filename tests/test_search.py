@@ -149,6 +149,12 @@ class TestConfig:
         with pytest.raises(TypeError):
             search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), 2.5)
 
+    def test_symmetry_reduction_must_be_a_bool(self):
+        # "no" is truthy: it ran the reduced walk and showed in the repr
+        for value in ("no", 0, 1, None):
+            with pytest.raises(TypeError, match="symmetry_reduction must be a bool"):
+                SearchConfig(4, "first", value)
+
     def test_budget_must_be_positive(self):
         with pytest.raises(ValueError):
             SearchConfig(dim=2, node_budget=0)
@@ -454,6 +460,15 @@ class TestOrbitScaling:
                 config = SearchConfig(dim, mode, reduce, budget)
                 assert answer(search_parallel, config, workers) == answer(search, config)
 
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_a_count_is_the_one_walk_total(self, dim, reduce):
+        # search walks a count as its frontier entries; the kernel, given
+        # no frontier, walks the whole tree in one call
+        outcome = search(SearchConfig(dim, SearchMode.COUNT, reduce))
+        _, count, nodes = _explore(dim, SearchMode.COUNT, (1, 2) if reduce else ())
+        assert (outcome.count, outcome.nodes_explored) == (count, nodes)
+
     @pytest.mark.parametrize("reduce,nodes", [(False, 3403051), (True, 3403049)])
     def test_parallel_matches_search_at_n5(self, reduce, nodes):
         # a first search stops at its first solution, in one process
@@ -472,10 +487,9 @@ class TestOrbitScaling:
 
     @pytest.mark.slow
     def test_the_reduced_count_at_n5(self):
-        # One walk, not the frontier split: under (1, 2, 4, 8) the words 5, 6,
-        # 9 and 10 lead to solutions before 16 is walked and credited, so
-        # only this walk credits a subtree after solutions were counted.
-        # It counts the solutions that open with (1, 2), one in 31 * 30.
+        # The frontier split with its 25 entries walked in this process (the
+        # unreduced count above hands them to a pool). It counts the
+        # solutions that open with (1, 2), one in 31 * 30.
         outcome = search(SearchConfig(5, SearchMode.COUNT, symmetry_reduction=True))
         assert (outcome.count, outcome.nodes_explored) == (1322582016, 822878741748)
         assert outcome.count * 31 * 30 == 123008 * GL5
