@@ -443,11 +443,12 @@ class BaseCaseStore:
     the package's own deterministic search: the ascending search with
     (1, 2) pinned for 2 and 5 (its first solution is the frozen fixture),
     and search_randomized(6, seed=0) for 6, because the ascending order's
-    first solution there is out of practical reach.  The packaged
-    fixtures are those searches' answers, so a store over an empty
-    directory hands out the same sequences.  Each is verified, found once
-    per store and cached; reads of cached ones are lock-free, and finding
-    one serializes behind one lock.
+    first solution there is out of practical reach.  The packaged 2 and 5
+    are those searches' answers; the packaged 6 is that of an earlier
+    search_randomized, so a store over an empty directory hands out
+    another verified 6 (see README).  Each is verified, found once per
+    store and cached; reads of cached ones are lock-free, and finding one
+    serializes behind one lock.
     """
 
     def __init__(self, fixture_dir: Union[str, Path, None] = None):

@@ -32,9 +32,11 @@ MAX_SEARCH_DIM = 6
 #: Applied to first searches at dimensions 5 and 6 when no budget is given; never to a count.
 DEFAULT_NODE_BUDGET = 10**9
 
-#: search_randomized's tuning: shuffle attempts, node budget per attempt.
+#: search_randomized's tuning: attempts, node budget per attempt, and the
+#: last open slots, which each attempt walks below its random prefix.
 _ATTEMPTS = 64
 _ATTEMPT_BUDGET = 2_000_000
+_TAIL = 9
 
 #: The opening that symmetry reduction pins in the first two open slots
 #: (see SearchConfig).
@@ -82,7 +84,8 @@ class SearchConfig(_Frozen):
         symmetry_reduction: bool = False,
         node_budget: Optional[int] = None,
     ):
-        if not isinstance(dim, int) or not isinstance(node_budget, (int, type(None))):
+        ints = (dim, 0 if node_budget is None else node_budget)
+        if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
             raise TypeError("dim must be an int, and node_budget an int or None")
         if not isinstance(symmetry_reduction, bool):
             raise TypeError(f"symmetry_reduction must be a bool, got {type(symmetry_reduction).__name__}")
@@ -208,34 +211,28 @@ def _explore(
     dim: int,
     mode: SearchMode,
     prefix: tuple[int, ...] = (),
+    *,
     node_budget: Optional[int] = None,
-    orders: Optional[list[list[int]]] = None,
     scale: bool = True,
     frontier: Optional[list] = None,
 ):
     """Depth-first scan of every ternary permutation extending `prefix`.
 
     prefix fixes the values of the leading open slots and costs no nodes.
-    orders[i] lists the candidates for open slot len(prefix) + i in the
-    order they are tried, and must hold each of 1 .. 2**dim - 1 once;
-    None means ascending decimal order at every slot, so with an empty
-    prefix the first full assignment found is the smallest solution in
-    decimal-tuple order.  The tree is the same whatever the order: a full
-    traversal (count mode, or one that finds nothing) gives the same count
-    and nodes, and only where it stops depends on the order.  nodes counts
-    candidates assigned at open slots, including ones whose forced follower
-    collides; candidates whose word is already in use do not count.  Going
-    past node_budget raises BudgetExhaustedError(node_budget + 1).  Stops
-    at the first solution except in count mode.  Returns (first solution
-    as decimals or None, solution count so far, nodes).
+    Every slot tries its candidates in ascending decimal order, so with an
+    empty prefix the first full assignment found is the smallest solution
+    in decimal-tuple order.  nodes counts candidates assigned at open
+    slots, including ones whose forced follower collides; candidates whose
+    word is already in use do not count.  Going past node_budget raises
+    BudgetExhaustedError(node_budget + 1).  Stops at the first solution
+    except in count mode.  Returns (first solution as decimals or None,
+    solution count so far, nodes).
 
     A slot works on two bitmasks, not candidate by candidate: free holds
     the unused words and ok those of them whose forced follower (the word
     XOR the one before it) is unused too.  The lowest bit of ok is the next
     assignment; every free bit up to it is a candidate tried on the way,
-    so nodes grows by their bit count.  Given orders, both masks are
-    re-indexed on slot entry so that bit r stands for the slot's r-th
-    candidate, which makes the lowest bit the next one in that order.
+    so nodes grows by their bit count.
 
     The next slot's masks are worked out before an assignment is
     committed, and two kinds of next slot are counted without being
@@ -249,7 +246,7 @@ def _explore(
     x puts y just before the last slot, where each leftover word then has
     the other as its follower.  Such a slot is entered.  A subtree counted
     in place holds no solution and would be traversed in full, so its
-    nodes do not depend on the order, and the count, the nodes and the
+    nodes are those of its full scan, and the count, the nodes and the
     first solution are the ones a slot by slot scan gives.  The budget is
     not checked after these two adds: nodes only grow, and the next add,
     which comes before any solution is recorded or any result returned,
@@ -266,25 +263,24 @@ def _explore(
     that fix the span pointwise fix every used word and the word before
     the slot, and they are transitive on those M words, so their subtrees
     are copies of one another, and a full traversal of each gives the
-    same count and nodes (the tree does not depend on the order).  So the
-    slot tries its unused words inside the span as before, then lim, the
-    smallest word outside, and no other: its free and ok masks keep bits
-    1 .. lim only, so lim is its last candidate.  When lim's subtree is
-    finished and the slot is exhausted, with nodes and count saved just
-    before lim's own node, nodes = saved + M * (nodes - saved), count
-    likewise, and the budget is checked (the scan passes every total up
-    to that one while it walks the copies).  An ascending scan tries
-    every word inside the span (all below lim) before lim, and lim before
-    the other M - 1, so it stops under lim exactly when it would stop under
-    the first outside word: the first solution, the node total at a stop
-    and every budget error are the scan's.  Assigning lim doubles the
-    span, so the slots below it have lim doubled; a word inside the span
-    leaves it as it is.  The follower translate and the two in-place adds
-    above use the unmasked masks: those adds count whole subtrees.  From
-    an empty prefix the factors M along the walk are N, N - 1, N - 3, ...,
-    2**dim - 2**(dim - 1), whose product is |GL(dim, 2)|.  Scaling runs
-    only with scale true, orders None and a prefix in normal form (see
-    _span_limit); otherwise the walk is plain.
+    same count and nodes.  So the slot tries its unused words inside the
+    span as before, then lim, the smallest word outside, and no other: its
+    free and ok masks keep bits 1 .. lim only, so lim is its last
+    candidate.  When lim's subtree is finished and the slot is exhausted,
+    with nodes and count saved just before lim's own node, nodes = saved +
+    M * (nodes - saved), count likewise, and the budget is checked (the
+    scan passes every total up to that one while it walks the copies).
+    An ascending scan tries every word inside the span (all below lim)
+    before lim, and lim before the other M - 1, so it stops under lim
+    exactly when it would stop under the first outside word: the first
+    solution, the node total at a stop and every budget error are the
+    scan's.  Assigning lim doubles the span, so the slots below it have
+    lim doubled; a word inside the span leaves it as it is.  The follower
+    translate and the two in-place adds above use the unmasked masks:
+    those adds count whole subtrees.  From an empty prefix the factors M
+    along the walk are N, N - 1, N - 3, ..., 2**dim - 2**(dim - 1), whose
+    product is |GL(dim, 2)|.  Scaling runs only with scale true and a
+    prefix in normal form (see _span_limit); otherwise the walk is plain.
 
     frontier, a list, stops the scaled walk at each walked prefix where
     the span first fills GF(2)**dim above the last slot (below it nothing
@@ -320,7 +316,7 @@ def _explore(
     # per slot whose word lim is being walked, deepest last, and sd is the
     # deepest such slot.
     lim = size + 1
-    if scale and orders is None:
+    if scale:
         lim = _span_limit(used) or lim
     growing = []
     sd = -1
@@ -336,12 +332,8 @@ def _explore(
         t = ((t >> s) & lo) | ((t & lo) << s)
     free = avail
     ok = avail & t
-    while True:
-        if orders is not None:  # slot d was just entered
-            order = orders[d - start]
-            free = sum(1 << r for r, w in enumerate(order) if free >> w & 1)
-            ok = sum(1 << r for r, w in enumerate(order) if ok >> w & 1)
-        elif lim <= size:  # the span is not full: lim stands for every word outside it
+    while True:  # slot d was just entered
+        if lim <= size:  # the span is not full: lim stands for every word outside it
             free &= (2 << lim) - 2
             ok &= (2 << lim) - 2
         while True:  # try slot d's candidates until one enters slot d + 1
@@ -371,8 +363,6 @@ def _explore(
             free ^= tried
             ok ^= low
             w = low.bit_length() - 1
-            if orders is not None:
-                w = orders[d - start][w]
             if w == lim:  # the span grows
                 growing.append((d, nodes - 1, count, size + 1 - lim))
                 sd = d
@@ -468,7 +458,7 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     each entry's count and nodes, the entries walked by _walk_subtrees,
     in this process for a single entry or a single worker.
     """
-    if not isinstance(workers, int):
+    if isinstance(workers, bool) or not isinstance(workers, int):
         raise TypeError(f"workers must be an int, got {type(workers).__name__}")
     if workers < 1:
         raise ValueError(f"worker count must be positive, got {workers}")
@@ -477,7 +467,7 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     if config.mode is SearchMode.FIRST or budget is not None:
         if budget is None and config.dim >= 5:
             budget = DEFAULT_NODE_BUDGET
-        return _outcome(config, *_explore(config.dim, config.mode, prefix, budget))
+        return _outcome(config, *_explore(config.dim, config.mode, prefix, node_budget=budget))
     frontier = []
     first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)
     if frontier:
@@ -508,33 +498,42 @@ def _walk_subtrees(dim: int, mode: SearchMode, prefixes: tuple, workers: int) ->
 
 
 def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
-    """Find some ternary permutation quickly via seeded random candidate order.
+    """Find some ternary permutation quickly: ascending walks below seeded random prefixes.
 
     Ascending order pays for its smallest-solution guarantee: at dimension
     6 the first solution in that order sits beyond any practical budget
     (an optimized native mirror of the kernel passed 10**11 nodes without
-    reaching it).  Solutions themselves are plentiful, so visiting
-    candidates in a seeded shuffled order finds one within a few hundred
-    thousand nodes.  Deterministic for a fixed seed: attempt i shuffles
-    with seed + i, so reruns are bit-identical.  An attempt that finishes
-    its tree proves the answer, which does not depend on the order: at
-    dimensions 3 and 4 the outcome has sequence None.  Raises
-    BudgetExhaustedError only after every attempt runs out.
+    reaching it).  Solutions themselves are plentiful, so attempt i draws
+    a prefix with random.Random(seed + i): after (1, 2), each open slot but
+    the last _TAIL gets a word drawn uniformly among those assignable there
+    (unused, with an unused forced follower), and the kernel walks the tree
+    below it in ascending order, within _ATTEMPT_BUDGET nodes.  Dimensions
+    2 to 4 have at most _TAIL open slots, so nothing is drawn: the first
+    attempt walks the whole reduced tree and its answer is final, sequence
+    None at 3 and 4.  Raises BudgetExhaustedError, with the nodes of every
+    attempt, when all _ATTEMPTS attempts find nothing.
     """
     config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
-    prefix = _OPENING
-    size = (1 << dim) - 1
-    n_open = len(_free_positions(dim)) - len(prefix)
+    drawn = _free_positions(dim)[len(_OPENING) : -_TAIL]
     total_nodes = 0
     for attempt in range(_ATTEMPTS):
         rng = random.Random(seed + attempt)
-        orders = [rng.sample(range(1, size + 1), size) for _ in range(n_open)]
+        prefix = _OPENING
+        for p in drawn:
+            seq, used = _apply_prefix(dim, prefix)
+            prev = seq[p - 1]
+            assignable = [w for w in range(1, 1 << dim) if not (used >> w | used >> (w ^ prev)) & 1]
+            if not assignable:  # a dead slot: the walk below counts its tries
+                break
+            prefix += (rng.choice(assignable),)
         try:
-            first, count, nodes = _explore(dim, config.mode, prefix, config.node_budget, orders)
+            first, count, nodes = _explore(dim, config.mode, prefix, node_budget=config.node_budget)
         except BudgetExhaustedError as exc:
             total_nodes += exc.nodes_explored
             continue
-        return _outcome(config, first, count, total_nodes + nodes)
+        total_nodes += nodes
+        if first is not None or not drawn:
+            return _outcome(config, first, count, total_nodes)
     raise BudgetExhaustedError(total_nodes)
 
 

@@ -170,27 +170,27 @@ def _check(seq: TernarySequence) -> VerificationReport:
                 f"expected {expected} words for n={seq.dim}, got {actual}",
             ),
         )
-    # Values are in [0, expected] by construction, so no zero plus
-    # expected distinct values already means a permutation; the scan
-    # below only runs to locate the first violation.
-    if 0 in vals or len(set(vals)) != expected:
-        seen: dict[int, int] = {}
+    # Values are in [0, expected] by construction, so expected distinct
+    # nonzero ones are a permutation; the scan only locates the violation.
+    seen = set(vals)
+    if len(seen) != expected or 0 in seen:
+        first_at: dict[int, int] = {}
         for pos, v in enumerate(vals, start=1):
             if v == 0:
                 return VerificationReport(
                     False,
                     VerificationFailure("zero-word", pos, f"word at position {pos} is zero"),
                 )
-            if v in seen:
+            if v in first_at:
                 return VerificationReport(
                     False,
                     VerificationFailure(
                         "duplicate",
                         pos,
-                        f"word {v} at position {pos} already appeared at position {seen[v]}",
+                        f"word {v} at position {pos} already appeared at position {first_at[v]}",
                     ),
                 )
-            seen[v] = pos
+            first_at[v] = pos
     # Sum j (0-based) is vals[2j] ^ vals[2j + 1] ^ vals[2j + 2], centred on
     # the 1-based even index 2j + 2; expected is odd, so the slices cover
     # every even index 2 .. expected - 1.  All the sums are taken at once,

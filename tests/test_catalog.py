@@ -24,6 +24,7 @@ from ternaryperm.catalog import (
     save,
 )
 from ternaryperm.lifting import lift
+from ternaryperm.search import search_randomized
 from ternaryperm.sequences import TernarySequence, verify
 
 from conftest import BASE5_DECIMALS
@@ -574,11 +575,16 @@ class TestBaseCaseStore:
         assert BASE_DIMS == (2, 5, 6)
 
     def test_search_on_demand_matches_committed_fixtures(self, tmp_path, searches):
+        # 6.txt came from a shuffled-order search_randomized the package no
+        # longer has, so the n=6 fallback finds another verified base
         fresh = BaseCaseStore(fixture_dir=tmp_path)
         packaged = BaseCaseStore()
         for dim in BASE_DIMS:
-            assert fresh.get(dim) == packaged.get(dim)
             assert fresh.get(dim) is fresh.get(dim)
+        for dim in (2, 5):
+            assert fresh.get(dim) == packaged.get(dim)
+        assert verify(fresh.get(6)).valid
+        assert fresh.get(6) == search_randomized(6, seed=0).sequence
         assert searches == [("search", 2), ("search", 5), ("search_randomized", 6)]
 
     def test_sequences_are_cached(self):
@@ -607,7 +613,7 @@ class TestBaseCaseStore:
 
     def test_generate_uses_supplied_store(self, tmp_path, searches):
         # n=8 lifts from the n=6 base, which a store without fixtures finds
-        # by the seeded search in 2,204 nodes; n=5 would take 3.4M
+        # by the seeded search in 51,630 nodes; n=5 would take 3.4M
         store = BaseCaseStore(fixture_dir=tmp_path)
         seq = generate(8, store=store)
         assert verify(seq).valid

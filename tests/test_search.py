@@ -29,7 +29,7 @@ def run(dim, mode, reduce=False, budget=None):
     )
 
 
-def reference_explore(dim, mode, prefix=(), node_budget=None, orders=None):
+def reference_explore(dim, mode, prefix=(), *, node_budget=None):
     """_explore's contract restated one candidate at a time, by recursion.
 
     The test oracle for the bitmask kernel: same tree, same node rule
@@ -48,10 +48,7 @@ def reference_explore(dim, mode, prefix=(), node_budget=None, orders=None):
             count += 1
             first = first or tuple(seq[1:])
             return mode is not SearchMode.COUNT
-        if i < len(prefix):
-            candidates = prefix[i : i + 1]
-        else:
-            candidates = range(1, size + 1) if orders is None else orders[i - len(prefix)]
+        candidates = prefix[i : i + 1] if i < len(prefix) else range(1, size + 1)
         p = slots[i]
         for w in candidates:
             if used >> w & 1:
@@ -104,20 +101,12 @@ def random_valid_prefix(rng, dim, length):
 DEEP_DIM5_PREFIX = (1, 2, 4, 8, 5, 16, 6, 18, 17, 9, 29)
 
 
-def budgeted(explore, dim, mode, prefix, budget, orders=None):
+def budgeted(explore, dim, mode, prefix, budget):
     """explore's result, or the node count its BudgetExhaustedError reports."""
     try:
-        return explore(dim, mode, prefix, budget, orders)
+        return explore(dim, mode, prefix, node_budget=budget)
     except BudgetExhaustedError as exc:
         return exc.nodes_explored
-
-
-def shuffled_orders(rng, dim, n_prefix):
-    size = (1 << dim) - 1
-    return [
-        rng.sample(range(1, size + 1), size)
-        for _ in range(len(_free_positions(dim)) - n_prefix)
-    ]
 
 
 @pytest.fixture(scope="module")
@@ -148,6 +137,13 @@ class TestConfig:
                 SearchConfig(**kwargs)
         with pytest.raises(TypeError):
             search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), 2.5)
+
+    def test_rejects_bools_for_integer_fields(self):
+        # bool is a subclass of int: node_budget=True stood for one node
+        message = "dim must be an int, and node_budget an int or None"
+        for kwargs in ({"dim": True}, {"dim": 3, "node_budget": True}, {"dim": 3, "node_budget": False}):
+            with pytest.raises(TypeError, match=message):
+                SearchConfig(**kwargs)
 
     def test_symmetry_reduction_must_be_a_bool(self):
         # "no" is truthy: it ran the reduced walk and showed in the repr
@@ -230,26 +226,6 @@ class TestProveNone:
             assert (reduced.sequence is None) == (unreduced.sequence is None)
 
 
-class TestCandidateOrder:
-    """_explore visits one tree whatever the candidate order at each slot."""
-
-    @pytest.mark.parametrize(
-        "dim,mode,reduce,expected",
-        [
-            (2, SearchMode.COUNT, False, (6, 9)),
-            (3, SearchMode.COUNT, False, (0, 553)),
-            (4, SearchMode.FIRST, True, (0, 9348)),
-        ],
-    )
-    def test_shuffled_orders_give_the_same_full_traversal(self, dim, mode, reduce, expected):
-        prefix = (1, 2) if reduce else ()
-        orders = shuffled_orders(random.Random(7), dim, len(prefix))
-        _, count, nodes = _explore(dim, mode, prefix, orders=orders)
-        assert (count, nodes) == expected
-        _, count, nodes = _explore(dim, mode, prefix)
-        assert (count, nodes) == expected
-
-
 class TestKernelOracle:
     """_explore against the per-candidate reference_explore: (first, count, nodes)."""
 
@@ -265,6 +241,11 @@ class TestKernelOracle:
         if dim > 2:
             assert outcome == (None, 0, pinned_nodes[dim, reduce])
 
+    def test_budget_scale_and_frontier_are_keyword_only(self):
+        with pytest.raises(TypeError):
+            _explore(3, SearchMode.COUNT, (), 5)
+        assert _explore(3, SearchMode.COUNT, (), node_budget=553) == (None, 0, 553)
+
     def test_random_valid_prefixes(self):
         rng = random.Random(11)
         for dim, length in ((3, 2), (4, 3), (4, 5), (5, 9), (5, 11)):
@@ -273,48 +254,34 @@ class TestKernelOracle:
                 for mode in SearchMode:
                     assert _explore(dim, mode, prefix) == reference_explore(dim, mode, prefix)
 
-    def test_shuffled_orders(self):
-        rng = random.Random(13)
-        cases = [(2, ()), (3, ()), (3, (1, 2)), (4, (1, 2))]
-        cases += [(5, random_valid_prefix(rng, 5, 9)) for _ in range(6)]
-        for dim, prefix in cases:
-            orders = shuffled_orders(rng, dim, len(prefix))
-            for mode in SearchMode:
-                expected = reference_explore(dim, mode, prefix, orders=orders)
-                assert _explore(dim, mode, prefix, orders=orders) == expected
-
     def test_every_budget_stops_where_the_reference_does(self):
         for budget in range(1, 554):
             expected = budget + 1 if budget < 553 else (None, 0, 553)
             outcome = budgeted(_explore, 3, SearchMode.COUNT, (), budget)
             assert outcome == budgeted(reference_explore, 3, SearchMode.COUNT, (), budget) == expected
 
-    @pytest.mark.parametrize("shuffle", [False, True])
-    def test_every_budget_on_a_subtree_with_solutions(self, shuffle):
+    def test_every_budget_on_a_subtree_with_solutions(self):
         # Its 226 nodes pass through every way the kernel treats a child
         # slot: dead ones and solution-free second-to-last ones counted in
         # place, solvable second-to-last ones and the rest entered.
         prefix = DEEP_DIM5_PREFIX
-        orders = shuffled_orders(random.Random(17), 5, len(prefix)) if shuffle else None
-        full = reference_explore(5, SearchMode.COUNT, prefix, orders=orders)
+        full = reference_explore(5, SearchMode.COUNT, prefix)
         assert full[1:] == (4, 226)
         for mode in (SearchMode.FIRST, SearchMode.COUNT):
             for budget in range(1, full[2] + 1):
-                expected = budgeted(reference_explore, 5, mode, prefix, budget, orders)
-                assert budgeted(_explore, 5, mode, prefix, budget, orders) == expected
+                expected = budgeted(reference_explore, 5, mode, prefix, budget)
+                assert budgeted(_explore, 5, mode, prefix, budget) == expected
 
     def test_solvable_second_to_last_slots_are_entered(self):
         # Three open slots left: each child of the first is a second-to-last
         # slot, so each solution found came through one judged solvable.
         first, _, _ = reference_explore(5, SearchMode.FIRST, DEEP_DIM5_PREFIX)
-        rng = random.Random(19)
         for decimals in (BASE5_DECIMALS, first):
             prefix = tuple(decimals[p - 1] for p in _free_positions(5)[:13])
-            for orders in (None, shuffled_orders(rng, 5, 13), shuffled_orders(rng, 5, 13)):
-                for mode in SearchMode:
-                    expected = reference_explore(5, mode, prefix, orders=orders)
-                    assert _explore(5, mode, prefix, orders=orders) == expected
-                    assert expected[1] > 0
+            for mode in SearchMode:
+                expected = reference_explore(5, mode, prefix)
+                assert _explore(5, mode, prefix) == expected
+                assert expected[1] > 0
 
     @pytest.mark.slow
     def test_unreduced_count_under_a_five_word_prefix(self):
@@ -349,8 +316,8 @@ def answer(driver, *args):
         return "budget exhausted", exc.nodes_explored
 
 
-def unscaled(dim, mode, prefix=(), node_budget=None, orders=None):
-    return _explore(dim, mode, prefix, node_budget, orders, scale=False)
+def unscaled(dim, mode, prefix=(), *, node_budget=None):
+    return _explore(dim, mode, prefix, node_budget=node_budget, scale=False)
 
 
 class TestOrbitScaling:
@@ -516,7 +483,7 @@ class TestDefaultBudget:
         """The node_budget each _explore call gets; the call walks nothing."""
         seen = []
 
-        def watched(dim, mode, prefix=(), node_budget=None, *args, **kwargs):
+        def watched(dim, mode, prefix=(), *, node_budget=None, **kwargs):
             seen.append(node_budget)
             return None, 0, 0
 
@@ -601,6 +568,13 @@ class TestParallel:
             nodes += copies * sub_nodes
         assert (count, nodes) == (54656, 48145634)  # the slow test's unscaled walk
 
+    def test_a_bool_worker_count_is_rejected(self):
+        # True ran the search with one worker
+        config = SearchConfig(dim=3, mode=SearchMode.COUNT)
+        for workers in (True, False):
+            with pytest.raises(TypeError, match="workers must be an int, got bool"):
+                search_parallel(config, workers)
+
     def test_no_workers_rejected(self):
         with pytest.raises(ValueError, match="worker count must be positive, got 0"):
             search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), workers=0)
@@ -619,11 +593,14 @@ class TestRandomizedDiscovery:
         assert a.nodes_explored == b.nodes_explored
 
     def test_dim6_node_count_is_pinned(self):
-        assert search_randomized(6, seed=0).nodes_explored == 2204
+        # nine attempts whose subtrees hold no solution, then one that
+        # finds a solution after 3,276 nodes
+        assert search_randomized(6, seed=0).nodes_explored == 51630
 
     def test_tiny_dims_work(self):
         outcome = search_randomized(2, seed=0)
         assert outcome.sequence.decimals == (1, 2, 3)
+        assert outcome.nodes_explored == 0
 
     def test_all_attempts_exhausted_raises(self, monkeypatch):
         # the package re-exports the function search over the submodule's name
@@ -644,11 +621,55 @@ class TestRandomizedDiscovery:
 
     def test_nodes_of_exhausted_attempts_add_to_the_finished_one(self, monkeypatch):
         module = importlib.import_module("ternaryperm.search")
-        monkeypatch.setattr(module, "_ATTEMPT_BUDGET", 1000)
-        # at dimension 5 the shuffle of seed 1 needs 1,415 nodes, that of seed 2 needs 975
+        monkeypatch.setattr(module, "_ATTEMPT_BUDGET", 10000)
+        # at dimension 5 the walk below the prefix drawn with seed 1 needs
+        # 17,383 nodes, that below the one drawn with seed 2 needs 5,317
         outcome = search_randomized(5, seed=1)
         assert verify(outcome.sequence).valid
-        assert outcome.nodes_explored == 1001 + 975
+        assert outcome.nodes_explored == 10001 + 5317
+
+    def test_a_dead_slot_ends_the_draw_and_the_walk_counts_its_tries(self, monkeypatch):
+        # With seed 25 at dimension 6 no word is assignable at the 21st
+        # drawn slot: the walk below the 20 drawn ones tries the 20 free
+        # words there, each colliding, and the attempt finds nothing.
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_ATTEMPTS", 1)
+        with pytest.raises(BudgetExhaustedError) as err:
+            search_randomized(6, seed=25)
+        assert err.value.nodes_explored == 20
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    def test_every_seed_finds_the_ascending_answer_below_its_prefix(self, dim):
+        # The slots above the last _TAIL come from the attempt that found
+        # the sequence; the kernel's ascending walk below them stops there.
+        module = importlib.import_module("ternaryperm.search")
+        slots = _free_positions(dim)[: -module._TAIL]
+        for seed in range(20):
+            found = search_randomized(dim, seed).sequence
+            assert verify(found).valid
+            prefix = tuple(found.decimals[p - 1] for p in slots)
+            assert _explore(dim, SearchMode.FIRST, prefix)[0] == found.decimals
+
+    @pytest.mark.slow
+    @pytest.mark.parametrize("dim,seeds", [(5, 1000), (6, 300)])
+    def test_seed_sweep(self, dim, seeds, monkeypatch, capsys):
+        # Each attempt is one kernel walk; the largest attempt index shows
+        # how far each sweep stays from the last of the _ATTEMPTS.
+        module = importlib.import_module("ternaryperm.search")
+        walks = []
+
+        def counted(*args, **kwargs):
+            walks.append(args[2])
+            return _explore(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_explore", counted)
+        largest = 0
+        for seed in range(seeds):
+            walks.clear()
+            assert search_randomized(dim, seed).sequence is not None
+            largest = max(largest, len(walks) - 1)
+        with capsys.disabled():
+            print(f"\nn = {dim}, seeds 0-{seeds - 1}: largest attempt index {largest} of {module._ATTEMPTS - 1}")
 
     def test_dimension_is_checked_by_search_config(self):
         for dim in (1, MAX_SEARCH_DIM + 1):
@@ -681,9 +702,9 @@ class TestImpossibility:
         module = importlib.import_module("ternaryperm.search")
         calls = []
 
-        def watched(dim, mode, prefix=(), *args, scale=True):
+        def watched(dim, mode, prefix=(), *, scale=True, **kwargs):
             calls.append((prefix, scale))
-            return _explore(dim, mode, prefix, *args, scale=scale)
+            return _explore(dim, mode, prefix, scale=scale, **kwargs)
 
         monkeypatch.setattr(module, "_explore", watched)
         cert = prove_impossibility(3)
