@@ -347,9 +347,6 @@ class LoadResult(_Frozen):
     format: str
     report: VerificationReport
 
-    def __init__(self, sequence: TernarySequence, format: str, report: VerificationReport):
-        self._assign(sequence=sequence, format=format, report=report)
-
 
 Source = Union[str, Path, IO[str]]
 

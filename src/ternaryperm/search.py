@@ -49,11 +49,12 @@ class SearchMode(Enum):
 
 
 class BudgetExhaustedError(Exception):
-    """The node budget ran out before the search reached a conclusive answer."""
+    """A limit, the node budget or search_randomized's attempts, ran out before a conclusive answer."""
 
-    def __init__(self, nodes_explored: int):
-        super().__init__(f"node budget exhausted after {nodes_explored} nodes")
+    def __init__(self, nodes_explored: int, limit: str = "node budget"):
+        super().__init__(f"{limit} exhausted after {nodes_explored} nodes")
         self.nodes_explored = nodes_explored
+        self.limit = limit
 
 
 class SearchConfig(_Frozen):
@@ -94,7 +95,7 @@ class SearchConfig(_Frozen):
             raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
         if node_budget is not None and node_budget < 1:
             raise ValueError(f"node budget must be positive, got {node_budget}")
-        self._assign(dim=dim, mode=mode, symmetry_reduction=symmetry_reduction, node_budget=node_budget)
+        super().__init__(dim, mode, symmetry_reduction, node_budget)
 
 
 class SearchOutcome(_Frozen):
@@ -117,26 +118,8 @@ class SearchOutcome(_Frozen):
     mode: SearchMode
     symmetry_reduction: bool
     nodes_explored: int
-    sequence: Optional[TernarySequence]
-    count: Optional[int]
-
-    def __init__(
-        self,
-        dim: int,
-        mode: SearchMode,
-        symmetry_reduction: bool,
-        nodes_explored: int,
-        sequence: Optional[TernarySequence] = None,
-        count: Optional[int] = None,
-    ):
-        self._assign(
-            dim=dim,
-            mode=mode,
-            symmetry_reduction=symmetry_reduction,
-            nodes_explored=nodes_explored,
-            sequence=sequence,
-            count=count,
-        )
+    sequence: Optional[TernarySequence] = None
+    count: Optional[int] = None
 
 
 def _free_positions(dim: int) -> list[int]:
@@ -147,9 +130,11 @@ def _free_positions(dim: int) -> list[int]:
 def _apply_prefix(dim: int, prefix: tuple[int, ...]):
     """Fill the leading open slots with fixed values, forced moves included.
 
-    Returns (seq, used) on success, where seq is 1-based position storage
-    and used is a bitmask over word values, or None if the prefix is
-    inconsistent (a repeated word, or a forced follower already taken).
+    Returns (seq, used, lim) on success, where seq is 1-based position
+    storage, used is a bitmask over word values and lim is the span limit
+    of the scaled walk below the prefix (see _explore), 0 if it walks
+    plain; or None if the prefix is inconsistent (a repeated word, or a
+    forced follower already taken).
     """
     size = (1 << dim) - 1
     free = _free_positions(dim)
@@ -157,12 +142,15 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
         raise ValueError(f"prefix longer than the {len(free)} open slots")
     seq = [0] * (size + 1)
     used = 0
+    lim = 1
     for slot, w in enumerate(prefix):
         if not 1 <= w <= size:
             raise ValueError(f"prefix value {w} out of range [1, {size}]")
         m = 1 << w
         if used & m:
             return None
+        if w >= lim:  # lim doubles the span; a larger word is off the walk's path: walk plain
+            lim = 2 * lim if w == lim else 0
         p = free[slot]
         if p & 1:
             seq[p] = w
@@ -175,7 +163,7 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
         seq[p] = w
         seq[p + 1] = f
         used |= m | fm
-    return seq, used
+    return seq, used, lim
 
 
 def _xor_swaps(dim: int) -> list[tuple[tuple[int, int], ...]]:
@@ -192,19 +180,6 @@ def _xor_swaps(dim: int) -> list[tuple[tuple[int, int], ...]]:
         lo = sum(1 << w for w in range(1 << dim) if not w & s)
         steps.append((s, lo))
     return [tuple(steps[b] for b in range(dim) if c >> b & 1) for c in range(1 << dim)]
-
-
-def _span_limit(used: int) -> Optional[int]:
-    """lim = 2**r if the words in the bitmask used span exactly {0, ..., lim - 1}, else None.
-
-    That is, the rank of the used words equals the bit length of the
-    largest one: the words are in normal form.
-    """
-    span = {0}
-    for w in range(1, used.bit_length()):
-        if used >> w & 1 and w not in span:
-            span |= {x ^ w for x in span}
-    return len(span) if max(span) < len(span) else None
 
 
 def _explore(
@@ -280,7 +255,8 @@ def _explore(
     those adds count whole subtrees.  From an empty prefix the factors M
     along the walk are N, N - 1, N - 3, ..., 2**dim - 2**(dim - 1), whose
     product is |GL(dim, 2)|.  Scaling runs only with scale true and a
-    prefix in normal form (see _span_limit); otherwise the walk is plain.
+    prefix the scaled walk could take itself, each word inside the span or
+    equal to lim (see _apply_prefix); otherwise the walk is plain.
 
     frontier, a list, stops the scaled walk at each walked prefix where
     the span first fills GF(2)**dim above the last slot (below it nothing
@@ -296,7 +272,7 @@ def _explore(
     applied = _apply_prefix(dim, prefix)
     if applied is None:
         return None, 0, 0
-    seq, used = applied
+    seq, used, span_lim = applied
     start = len(prefix)
     if start == n_free:
         # the prefix and its forced moves already fill every position
@@ -315,9 +291,7 @@ def _explore(
     # the walk is plain; growing holds (slot, saved nodes, saved count, M)
     # per slot whose word lim is being walked, deepest last, and sd is the
     # deepest such slot.
-    lim = size + 1
-    if scale:
-        lim = _span_limit(used) or lim
+    lim = span_lim if scale and span_lim else size + 1
     growing = []
     sd = -1
     # Slot d sits at position p, after the word prev; avail holds every
@@ -510,8 +484,8 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     below it in ascending order, within _ATTEMPT_BUDGET nodes.  Dimensions
     2 to 4 have at most _TAIL open slots, so nothing is drawn: the first
     attempt walks the whole reduced tree and its answer is final, sequence
-    None at 3 and 4.  Raises BudgetExhaustedError, with the nodes of every
-    attempt, when all _ATTEMPTS attempts find nothing.
+    None at 3 and 4.  When all _ATTEMPTS attempts find nothing, raises a
+    BudgetExhaustedError over their nodes: "all 64 attempts exhausted after N nodes".
     """
     config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
     drawn = _free_positions(dim)[len(_OPENING) : -_TAIL]
@@ -520,7 +494,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
         rng = random.Random(seed + attempt)
         prefix = _OPENING
         for p in drawn:
-            seq, used = _apply_prefix(dim, prefix)
+            seq, used, _ = _apply_prefix(dim, prefix)
             prev = seq[p - 1]
             assignable = [w for w in range(1, 1 << dim) if not (used >> w | used >> (w ^ prev)) & 1]
             if not assignable:  # a dead slot: the walk below counts its tries
@@ -534,7 +508,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
         total_nodes += nodes
         if first is not None or not drawn:
             return _outcome(config, first, count, total_nodes)
-    raise BudgetExhaustedError(total_nodes)
+    raise BudgetExhaustedError(total_nodes, f"all {_ATTEMPTS} attempts")
 
 
 def naive_count(dim: int) -> int:
@@ -574,29 +548,9 @@ class ImpossibilityCertificate(_Frozen):
     nonexistent: bool
     symmetry_reduction: bool
     nodes_explored: int
-    cross_check_unreduced_nodes: Optional[int]
-    total_xor_zero: Optional[bool]
-    verifier_version: str
-
-    def __init__(
-        self,
-        dim: int,
-        nonexistent: bool,
-        symmetry_reduction: bool,
-        nodes_explored: int,
-        cross_check_unreduced_nodes: Optional[int] = None,
-        total_xor_zero: Optional[bool] = None,
-        verifier_version: str = VERSION,
-    ):
-        self._assign(
-            dim=dim,
-            nonexistent=nonexistent,
-            symmetry_reduction=symmetry_reduction,
-            nodes_explored=nodes_explored,
-            cross_check_unreduced_nodes=cross_check_unreduced_nodes,
-            total_xor_zero=total_xor_zero,
-            verifier_version=verifier_version,
-        )
+    cross_check_unreduced_nodes: Optional[int] = None
+    total_xor_zero: Optional[bool] = None
+    verifier_version: str = VERSION
 
     def to_text(self) -> str:
         """One key=value line per field in declaration order; None fields are left out."""

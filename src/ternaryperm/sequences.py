@@ -55,9 +55,6 @@ class VerificationFailure(_Frozen):
     index: int
     detail: str
 
-    def __init__(self, kind: str, index: int, detail: str):
-        self._assign(kind=kind, index=index, detail=detail)
-
     def __str__(self) -> str:
         return f"{self.kind} at i={self.index}: {self.detail}"
 
@@ -71,7 +68,7 @@ class VerificationReport(_Frozen):
     def __init__(self, valid: bool, failure: Optional[VerificationFailure] = None):
         if valid == (failure is not None):
             raise ValueError("a report is valid exactly when it carries no failure")
-        self._assign(valid=valid, failure=failure)
+        super().__init__(valid, failure)
 
 
 class TernarySequence(_Frozen):
@@ -98,18 +95,19 @@ class TernarySequence(_Frozen):
 
     def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
         """Fill a new instance; every constructor passes here, so the dimension is checked here."""
-        if not isinstance(dim, int):
+        if isinstance(dim, bool) or not isinstance(dim, int):
             raise TypeError(f"dim must be an int, got {type(dim).__name__}")
         if dim < 2:
             raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
         if dim > MAX_DIM:
             raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
-        self._assign(dim=dim, decimals=decimals, _words=words, _report=None)
+        super().__init__(dim, decimals)
+        self.__dict__.update(_words=words, _report=None)
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
         seq = cls._trusted(dim, tuple(values))
-        if not all(isinstance(value, int) for value in seq.decimals):
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, seq.decimals))):
             raise TypeError("values must be ints")
         if seq.decimals:
             for bad in (min(seq.decimals), max(seq.decimals)):

@@ -18,23 +18,43 @@ class _Frozen:
 
     A subclass's fields are its own class annotations, in order, read from
     its __dict__ when the class is made (every module imports annotations
-    from __future__, so they are stored there as strings).  repr, equality and hash go by the fields in order, as for a frozen
+    from __future__, so they are stored there as strings), and a field's
+    class-level value, if any, is its default.  __init__ binds positional
+    arguments to the fields in order, then keywords, then defaults; a type
+    that checks its arguments does so in its own __init__ and passes them
+    on.  repr, equality and hash go by the fields in order, as for a frozen
     dataclass: equal only to an instance of the same class, hash the hash
-    of the tuple of fields.  Each class's __init__ checks its arguments
-    and sets them with _assign; any later assignment or deletion raises
-    dataclasses.FrozenInstanceError.  The dataclasses module is imported
-    on that error path alone: importing it (it brings inspect, ast, dis
-    and tokenize) and generating the methods of eight classes came to
-    about 40% of the package's import time.
+    of the tuple of fields.  Any later assignment or deletion raises
+    dataclasses.FrozenInstanceError, and that error path alone imports
+    dataclasses: importing it (it brings inspect, ast, dis and tokenize)
+    and generating eight classes' methods was about 40% of import time.
     """
 
     _fields: tuple[str, ...] = ()
+    _defaults: dict[str, object] = {}
 
     def __init_subclass__(cls) -> None:
         super().__init_subclass__()
         cls._fields = tuple(cls.__dict__.get("__annotations__", {}))
+        cls._defaults = {name: cls.__dict__[name] for name in cls._fields if name in cls.__dict__}
 
-    def _assign(self, **values) -> None:
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        type_name = type(self).__qualname__
+        if len(args) > len(fields):
+            raise TypeError(f"{type_name} has {len(fields)} fields, got {len(args)} positional arguments")
+        values = dict(zip(fields, args))
+        if kwargs or len(args) < len(fields):  # bind the rest by name or default, in field order
+            for name in kwargs:
+                if name not in fields:
+                    raise TypeError(f"{type_name} has no field {name!r}")
+                if name in values:
+                    raise TypeError(f"{type_name} got field {name!r} twice")
+            values = {**self._defaults, **values, **kwargs}
+            for name in fields:
+                if name not in values:
+                    raise TypeError(f"{type_name} is missing field {name!r}")
+            values = {name: values[name] for name in fields}
         self.__dict__.update(values)
 
     def _values(self) -> tuple:
@@ -76,13 +96,13 @@ class Word(_Frozen):
 
     def __init__(self, bits: int, dim: int):
         for name, value in (("bits", bits), ("dim", dim)):
-            if not isinstance(value, int):
+            if isinstance(value, bool) or not isinstance(value, int):
                 raise TypeError(f"{name} must be an int, got {type(value).__name__}")
         if not 1 <= dim <= MAX_DIM:
             raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
         if not 0 <= bits < (1 << dim):
             raise ValueError(f"bits {bits} out of range for dimension {dim}")
-        self._assign(bits=bits, dim=dim)
+        super().__init__(bits, dim)
 
     @property
     def is_zero(self) -> bool:

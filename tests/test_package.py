@@ -1,10 +1,14 @@
 import ast
+import copy
 import importlib
+import pickle
 import re
 import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import ternaryperm
 from ternaryperm.cli import build_parser
@@ -146,6 +150,93 @@ def test_the_value_types_fields_are_their_annotations():
     assert {cls.__name__ for cls in _Frozen.__subclasses__()} == set(FIELDS)
     for name, fields in FIELDS.items():
         assert getattr(ternaryperm, name)._fields == fields, name
+
+
+#: The fields that take a default when a call leaves them out, with it:
+#: given beside the annotation, and bound by _Frozen.__init__.
+DEFAULTS = {
+    "SearchOutcome": {"sequence": None, "count": None},
+    "ImpossibilityCertificate": {
+        "cross_check_unreduced_nodes": None, "total_xor_zero": None,
+        "verifier_version": ternaryperm.__version__,
+    },
+}
+
+#: The value types without an __init__ of their own: _Frozen binds their fields.
+RECORDS = ("VerificationFailure", "LoadResult", "SearchOutcome", "ImpossibilityCertificate")
+
+_SEQ = ternaryperm.TernarySequence.from_decimals(2, (1, 2, 3))
+
+#: One call per value type, as the keyword arguments its constructor takes, in order.
+SAMPLES = {
+    "Word": {"bits": 5, "dim": 3},
+    "TernarySequence": {"dim": 2, "words": _SEQ.words},
+    "VerificationFailure": {"kind": "length", "index": 1, "detail": "expected 3 words for n=2, got 0"},
+    "VerificationReport": {
+        "valid": False, "failure": ternaryperm.VerificationFailure("zero-word", 2, "word at position 2 is zero"),
+    },
+    "SearchConfig": {
+        "dim": 4, "mode": ternaryperm.SearchMode.COUNT, "symmetry_reduction": True, "node_budget": 100,
+    },
+    "SearchOutcome": {
+        "dim": 2, "mode": ternaryperm.SearchMode.FIRST, "symmetry_reduction": False,
+        "nodes_explored": 0, "sequence": _SEQ, "count": None,
+    },
+    "ImpossibilityCertificate": {
+        "dim": 3, "nonexistent": True, "symmetry_reduction": True, "nodes_explored": 12,
+        "cross_check_unreduced_nodes": 30, "total_xor_zero": True, "verifier_version": "0.0",
+    },
+    "LoadResult": {"sequence": _SEQ, "format": "decimal", "report": ternaryperm.VerificationReport(True)},
+}
+
+
+def test_only_the_records_have_defaults_and_no_init_of_their_own():
+    for name in FIELDS:
+        cls = getattr(ternaryperm, name)
+        defaults = DEFAULTS.get(name, {})
+        assert cls._defaults == defaults, name
+        assert ("__init__" in cls.__dict__) == (name not in RECORDS), name
+        if defaults:
+            given = {key: value for key, value in SAMPLES[name].items() if key not in defaults}
+            for short in (cls(*given.values()), cls(**given)):
+                assert {key: getattr(short, key) for key in defaults} == defaults, name
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+def test_every_call_style_builds_the_same_value(name):
+    cls = getattr(ternaryperm, name)
+    kwargs = SAMPLES[name]
+    args = list(kwargs.values())
+    rest = dict(list(kwargs.items())[1:])
+    built = [cls(*args), cls(**kwargs), cls(**dict(reversed(kwargs.items()))), cls(args[0], **rest)]
+    if name in RECORDS:
+        assert built[0]._values() == tuple(args)
+    for value in built + [pickle.loads(pickle.dumps(built[0])), copy.deepcopy(built[0])]:
+        assert type(value) is cls
+        assert value == built[0]
+        assert hash(value) == hash(built[0])
+        assert repr(value) == repr(built[0])
+        # the same bytes: every call style stores the fields in field order
+        assert pickle.dumps(value) == pickle.dumps(built[0])
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_a_record_refuses_a_call_that_does_not_bind_each_field_once(name):
+    cls = getattr(ternaryperm, name)
+    kwargs = SAMPLES[name]
+    args = list(kwargs.values())
+    first = FIELDS[name][0]
+    with pytest.raises(TypeError, match=f"^{name} has {len(args)} fields, got {len(args) + 1} positional"):
+        cls(*args, None)
+    with pytest.raises(TypeError, match=f"^{name} got field '{first}' twice$"):
+        cls(*args, **{first: args[0]})
+    with pytest.raises(TypeError, match=f"^{name} has no field 'colour'$"):
+        cls(*args, colour=None)
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{FIELDS[name][1]}'$"):
+        cls(args[0])
+    required = [field for field in FIELDS[name] if field not in DEFAULTS.get(name, {})]
+    with pytest.raises(TypeError, match=f"^{name} is missing field '{required[-1]}'$"):
+        cls(**{key: value for key, value in kwargs.items() if key != required[-1]})
 
 
 def unused_imports(source):

@@ -292,11 +292,11 @@ class TestKernelOracle:
         assert unscaled(5, SearchMode.COUNT, (1, 2, 4, 8, 5)) == expected
 
 
-#: Prefixes at dimensions 2 to 4, in normal form (their used words span
-#: exactly {0, ..., 2**r - 1}, so the walk under them scales) and not (so
-#: it is plain): (1, 2, 5) and (1, 2, 4, 9) have a full span, (2, 1) is in
-#: normal form though not ascending, and (3,), (2,), (6, 1), (4,) and
-#: (3, 5, 9) are not in normal form.
+#: Prefixes at dimensions 2 to 4 that the scaled walk takes itself (each
+#: word inside the span of the words before it, or the smallest word
+#: outside it, so the walk under them scales) and not (so it is plain):
+#: (1, 2, 5) and (1, 2, 4, 9) have a full span, and (2, 1), (3,), (2,),
+#: (6, 1), (4,) and (3, 5, 9) are off the scaled walk's path.
 ORBIT_CASES = [
     (2, ()), (2, (1,)), (2, (3,)),
     (3, ()), (3, (1,)), (3, (2, 1)), (3, (1, 2, 5)), (3, (2,)), (3, (6, 1)),
@@ -467,6 +467,8 @@ class TestBudget:
         with pytest.raises(BudgetExhaustedError) as err:
             run(4, SearchMode.COUNT, budget=10)
         assert err.value.nodes_explored == 11
+        assert err.value.limit == "node budget"
+        assert str(err.value) == "node budget exhausted after 11 nodes"
 
     def test_sufficient_budget_is_silent(self):
         assert run(2, SearchMode.COUNT, budget=1000).count == 6
@@ -609,8 +611,11 @@ class TestRandomizedDiscovery:
         monkeypatch.setattr(module, "_ATTEMPT_BUDGET", 5)
         with pytest.raises(BudgetExhaustedError) as err:
             search_randomized(3, seed=0)
-        # each attempt stops on its sixth node, one past its budget of five
+        # each attempt stops on its sixth node, one past its budget of five;
+        # what ran out is the attempts, not the budget of any one of them
         assert err.value.nodes_explored == 12
+        assert err.value.limit == "all 2 attempts"
+        assert str(err.value) == "all 2 attempts exhausted after 12 nodes"
 
     @pytest.mark.parametrize("dim,nodes", [(3, 12), (4, 9348)])
     def test_one_finished_attempt_settles_nonexistence(self, dim, nodes):
@@ -637,6 +642,7 @@ class TestRandomizedDiscovery:
         with pytest.raises(BudgetExhaustedError) as err:
             search_randomized(6, seed=25)
         assert err.value.nodes_explored == 20
+        assert err.value.limit == "all 1 attempts"
 
     @pytest.mark.parametrize("dim", [5, 6])
     def test_every_seed_finds_the_ascending_answer_below_its_prefix(self, dim):

@@ -68,8 +68,9 @@ class TestSequenceType:
             seq(2, (1, -1, 2))
 
     def test_from_decimals_rejects_non_integer_values(self):
-        # a float passed the range check, and verify() then raised TypeError
-        for values in ([1.0, 2.0, 3.0], [1, 2.5, 3], [1, "2", 3]):
+        # a float passed the range check, and verify() then raised TypeError;
+        # a bool passed every check, and the repr showed True for a word
+        for values in ([1.0, 2.0, 3.0], [1, 2.5, 3], [1, "2", 3], [True, 2, 3]):
             with pytest.raises(TypeError, match="values must be ints"):
                 seq(2, values)
 
@@ -79,6 +80,11 @@ class TestSequenceType:
             TernarySequence.from_decimals(2.0, ())
         with pytest.raises(TypeError, match="dim must be an int, got float"):
             TernarySequence(2.0, [Word(1, 2)])
+        # True passed as dimension 1 and was refused with ValueError
+        with pytest.raises(TypeError, match="dim must be an int, got bool"):
+            TernarySequence.from_decimals(True, ())
+        with pytest.raises(TypeError, match="dim must be an int, got bool"):
+            TernarySequence(True, [])
 
     def test_both_constructors_agree(self):
         from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])

@@ -24,8 +24,9 @@ class TestWordType:
 
     def test_rejects_non_integer_fields(self):
         # a float that passes the range checks would break str() and ^,
-        # and Word(1.0, 2) would equal Word(1, 2)
-        for bits, dim in ((1.5, 2), (1.0, 2), (1, 2.0), ("1", 2)):
+        # and Word(1.0, 2) would equal Word(1, 2); a bool is an int to
+        # isinstance, and Word(1, True) printed as Word(bits=1, dim=True)
+        for bits, dim in ((1.5, 2), (1.0, 2), (1, 2.0), ("1", 2), (True, 2), (1, True)):
             with pytest.raises(TypeError):
                 Word(bits, dim)
 
