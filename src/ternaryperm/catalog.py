@@ -41,19 +41,25 @@ class NonexistentDimensionError(Exception):
     """Asked for a sequence at n = 3 or n = 4, where provably none exists."""
 
     def __init__(self, dim: int):
-        super().__init__(
-            f"no ternary permutation exists for n={dim}; "
+        super().__init__(dim)  # the field: pickle and copy rebuild from args
+        self.dim = dim
+
+    def __str__(self) -> str:
+        return (
+            f"no ternary permutation exists for n={self.dim}; "
             "they exist exactly for n >= 2 with n not in {3, 4}"
         )
-        self.dim = dim
 
 
 class ParseError(Exception):
     """A sequence file violates the text format; .line is the offending line."""
 
     def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
+        super().__init__(line, message)  # the fields: pickle and copy rebuild from args
         self.line = line
+
+    def __str__(self) -> str:
+        return "line %s: %s" % self.args
 
 
 def exists(n: int) -> bool:

@@ -37,6 +37,15 @@ EXIT_NONEXISTENT = 3    # the mathematical answer: no such sequence
 EXIT_PARSE_ERROR = 4    # malformed sequence file
 EXIT_BUDGET = 5         # node budget exhausted before an answer
 
+#: The exit code for each error a command may raise; the first match wins.
+_ERROR_EXITS = (
+    (NonexistentDimensionError, EXIT_NONEXISTENT),
+    (ParseError, EXIT_PARSE_ERROR),
+    (BudgetExhaustedError, EXIT_BUDGET),
+    (ValueError, EXIT_INVALID_INPUT),
+    (OSError, EXIT_FAILURE),
+)
+
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -60,7 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--format", choices=("auto", *FORMATS), default="auto")
 
     sea = sub.add_parser("search", help="backtracking search over candidate sequences")
-    sea.add_argument("--dim", type=int, required=True, help=f"dimension in [2, {MAX_SEARCH_DIM}]")
+    sea.add_argument(
+        "--dim",
+        type=int,
+        required=True,
+        help=f"dimension in [2, {MAX_SEARCH_DIM}]; n = {MAX_SEARCH_DIM} needs --budget",
+    )
     sea.add_argument("--mode", choices=[m.value for m in SearchMode], default=SearchMode.FIRST.value)
     sea.add_argument(
         "--reduce",
@@ -111,12 +125,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
 
 
 def _cmd_search(args: argparse.Namespace) -> int:
-    config = SearchConfig(
-        dim=args.dim,
-        mode=args.mode,
-        symmetry_reduction=args.reduce,
-        node_budget=args.budget,
-    )
+    config = SearchConfig(args.dim, args.mode, args.reduce, args.budget)
     if args.parallel is None:
         outcome = search(config)
     else:
@@ -171,18 +180,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except NonexistentDimensionError as exc:
+    except tuple(error for error, _ in _ERROR_EXITS) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONEXISTENT
-    except ParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except BudgetExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID_INPUT
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+        return next(code for error, code in _ERROR_EXITS if isinstance(exc, error))

@@ -26,11 +26,8 @@ from ._version import VERSION
 from .sequences import TernarySequence, verify
 from .words import _Frozen
 
-#: Exhaustive search stays desk-scale up to here; raise at your own risk.
+#: The largest search dimension: a search there needs a node budget, one below runs to its answer.
 MAX_SEARCH_DIM = 6
-
-#: Applied to first searches at dimensions 5 and 6 when no budget is given; never to a count.
-DEFAULT_NODE_BUDGET = 10**9
 
 #: search_randomized's tuning: attempts, node budget per attempt, and the
 #: last open slots, which each attempt walks below its random prefix.
@@ -52,9 +49,12 @@ class BudgetExhaustedError(Exception):
     """A limit, the node budget or search_randomized's attempts, ran out before a conclusive answer."""
 
     def __init__(self, nodes_explored: int, limit: str = "node budget"):
-        super().__init__(f"{limit} exhausted after {nodes_explored} nodes")
+        super().__init__(nodes_explored, limit)  # the fields: pickle and copy rebuild from args
         self.nodes_explored = nodes_explored
         self.limit = limit
+
+    def __str__(self) -> str:
+        return f"{self.limit} exhausted after {self.nodes_explored} nodes"
 
 
 class SearchConfig(_Frozen):
@@ -62,6 +62,8 @@ class SearchConfig(_Frozen):
 
     Hitting the node budget raises rather than returning a guess: a count,
     or a first search that finds nothing, must traverse the whole tree.
+    A search at MAX_SEARCH_DIM needs a budget, since no walk of its tree
+    runs to an answer; below it a search without one runs to its answer.
 
     symmetry_reduction pins the first two entries to the words 1 and 2.
     That loses no generality for existence questions.  The defining
@@ -93,6 +95,8 @@ class SearchConfig(_Frozen):
         mode = SearchMode(mode)
         if not 2 <= dim <= MAX_SEARCH_DIM:
             raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
+        if node_budget is None and dim == MAX_SEARCH_DIM:
+            raise ValueError(f"a search at dimension {dim} needs a node budget: its tree is too large")
         if node_budget is not None and node_budget < 1:
             raise ValueError(f"node budget must be positive, got {node_budget}")
         super().__init__(dim, mode, symmetry_reduction, node_budget)
@@ -152,11 +156,7 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
         if w >= lim:  # lim doubles the span; a larger word is off the walk's path: walk plain
             lim = 2 * lim if w == lim else 0
         p = free[slot]
-        if p & 1:
-            seq[p] = w
-            used |= m
-            continue
-        f = seq[p - 1] ^ w  # nonzero: seq[p - 1] is a different used word
+        f = seq[p - 1] ^ w  # at position 1, w itself: a placeholder that slot 1 overwrites
         fm = 1 << f
         if used & fm:
             return None
@@ -422,15 +422,14 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     every answer and node total is the one a scan of the whole tree gives.
 
     A walk that can stop, at its first solution or at a budget, is one
-    kernel walk in this process: a budget is checked in walk order.
-    Without a budget, first searches at dimension 5 and above get
-    DEFAULT_NODE_BUDGET.  A count without a budget is a plain sum over
-    subtrees, whatever order they finish in.  It walks down to its
-    frontier, the walked prefixes at which the span first fills GF(2)^n,
-    each with the factor its subtree is credited by; below them nothing
-    scales.  The total is the walk above the frontier plus factor times
-    each entry's count and nodes, the entries walked by _walk_subtrees,
-    in this process for a single entry or a single worker.
+    kernel walk in this process: a budget is checked in walk order.  A
+    count without a budget is a plain sum over subtrees, whatever order
+    they finish in.  It walks down to its frontier, the walked prefixes at
+    which the span first fills GF(2)^n, each with the factor its subtree
+    is credited by; below them nothing scales.  The total is the walk
+    above the frontier plus factor times each entry's count and nodes, the
+    entries walked by _walk_subtrees, in this process for a single entry
+    or a single worker.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise TypeError(f"workers must be an int, got {type(workers).__name__}")
@@ -438,12 +437,8 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
         raise ValueError(f"worker count must be positive, got {workers}")
     budget = config.node_budget
     prefix = _OPENING if config.symmetry_reduction else ()
-    if config.mode is SearchMode.FIRST or budget is not None:
-        if budget is None and config.dim >= 5:
-            budget = DEFAULT_NODE_BUDGET
-        return _outcome(config, *_explore(config.dim, config.mode, prefix, node_budget=budget))
-    frontier = []
-    first, count, nodes = _explore(config.dim, config.mode, prefix, frontier=frontier)
+    frontier = [] if config.mode is SearchMode.COUNT and budget is None else None
+    first, count, nodes = _explore(config.dim, config.mode, prefix, node_budget=budget, frontier=frontier)
     if frontier:
         prefixes, factors = zip(*frontier)
         results = _walk_subtrees(config.dim, config.mode, prefixes, workers)

@@ -1,3 +1,4 @@
+import importlib
 import stat
 
 import pytest
@@ -231,6 +232,23 @@ class TestSearch:
         code, _, err = run(capsys, "search", "--dim", "4", "--mode", "count", "--budget", "5")
         assert code == EXIT_BUDGET
         assert "budget" in err
+
+    @pytest.mark.parametrize("workers", [(), ("--parallel", "2")])
+    @pytest.mark.parametrize("reduce", [(), ("--reduce",)])
+    @pytest.mark.parametrize("mode", ["first", "count"])
+    def test_n6_without_a_budget_is_refused_before_any_walk(self, capsys, monkeypatch, mode, reduce, workers):
+        # a kernel that fails the test, in place of a walk of a tree too large to finish
+        def walk(*args, **kwargs):
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(importlib.import_module("ternaryperm.search"), "_explore", walk)
+        code, out, err = run(capsys, "search", "--dim", "6", "--mode", mode, *reduce, *workers)
+        assert (code, out) == (EXIT_INVALID_INPUT, "")
+        assert err == "error: a search at dimension 6 needs a node budget: its tree is too large\n"
+
+    def test_n6_with_a_budget_walks_to_it(self, capsys):
+        code, out, err = run(capsys, "search", "--dim", "6", "--mode", "first", "--budget", "1000")
+        assert (code, out, err) == (EXIT_BUDGET, "", "error: node budget exhausted after 1001 nodes\n")
 
     def test_parallel_count(self, capsys):
         code, out, _ = run(

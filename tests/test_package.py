@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 import ternaryperm
-from ternaryperm.cli import build_parser
+from ternaryperm.catalog import NonexistentDimensionError, ParseError
+from ternaryperm.cli import EXIT_OK, build_parser, main
+from ternaryperm.search import BudgetExhaustedError
 from ternaryperm.words import _Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -91,7 +93,7 @@ def test_readme_python_examples_run():
         exec(compile(block, "README.md", "exec"), {})
 
 
-def test_readme_cli_examples_parse():
+def readme_cli_lines():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     lines = [
         line
@@ -100,9 +102,46 @@ def test_readme_cli_examples_parse():
         if line.startswith("ternaryperm ")
     ]
     assert lines
+    return lines
+
+
+def test_readme_cli_examples_parse():
     parser = build_parser()
-    for line in lines:
+    for line in readme_cli_lines():
         parser.parse_args(shlex.split(line, comments=True)[1:])
+
+
+def test_readme_cli_examples_run(capsys, monkeypatch, tmp_path):
+    # in order, in one directory: `verify nine.txt` reads what the line
+    # before writes; a comment ending in ": <text>" states the output
+    monkeypatch.chdir(tmp_path)
+    for line in readme_cli_lines():
+        assert main(shlex.split(line, comments=True)[1:]) == EXIT_OK, line
+        stated = re.search(r"#.*: (\S+)$", line)
+        out = capsys.readouterr().out
+        if stated:
+            assert out == stated.group(1) + "\n", line
+
+
+@pytest.mark.parametrize(
+    "error,text",
+    [
+        (BudgetExhaustedError(11), "node budget exhausted after 11 nodes"),
+        (BudgetExhaustedError(11, "all 2 attempts"), "all 2 attempts exhausted after 11 nodes"),
+        (
+            NonexistentDimensionError(3),
+            "no ternary permutation exists for n=3; they exist exactly for n >= 2 with n not in {3, 4}",
+        ),
+        (ParseError(3, "bad"), "line 3: bad"),
+    ],
+    ids=["budget", "attempts", "nonexistent", "parse"],
+)
+def test_errors_rebuild_from_their_fields_through_pickle_and_copy(error, text):
+    # a process pool pickles what its workers raise
+    assert str(error) == text
+    for clone in (pickle.loads(pickle.dumps(error)), copy.copy(error), copy.deepcopy(error)):
+        assert type(clone) is type(error)
+        assert (str(clone), clone.args, vars(clone)) == (text, error.args, vars(error))
 
 
 #: Run with `python -S`, so that site's own imports stay out of sys.modules.

@@ -475,6 +475,8 @@ class TestBudget:
 
 
 class TestDefaultBudget:
+    """A search without a budget runs to its answer below MAX_SEARCH_DIM and is refused at it."""
+
     @pytest.fixture
     def module(self):
         # the package re-exports the function search over the submodule's name
@@ -493,31 +495,39 @@ class TestDefaultBudget:
         return seen
 
     @pytest.mark.parametrize("reduce", [False, True])
-    def test_a_first_search_stops_at_it_from_n5(self, module, monkeypatch, reduce):
-        monkeypatch.setattr(module, "DEFAULT_NODE_BUDGET", 1000)
-        with pytest.raises(BudgetExhaustedError) as err:
-            run(5, SearchMode.FIRST, reduce)
-        assert err.value.nodes_explored == 1001
+    @pytest.mark.parametrize("mode", list(SearchMode))
+    def test_a_search_at_n6_needs_one(self, budgets, mode, reduce):
+        with pytest.raises(ValueError, match="dimension 6 needs a node budget"):
+            SearchConfig(MAX_SEARCH_DIM, mode, reduce)
+        config = SearchConfig(MAX_SEARCH_DIM, mode, reduce, node_budget=1000)
+        assert config.node_budget == 1000
+        search(config)
+        assert budgets == [1000]
 
-    def test_which_searches_get_it(self, module, budgets):
-        run(5, SearchMode.COUNT)
-        run(6, SearchMode.COUNT, reduce=True)
-        for dim in (2, 3, 4):
+    def test_which_searches_get_it(self, budgets):
+        # none: every search below n = 6 walks with no budget, in every mode
+        for dim in range(2, MAX_SEARCH_DIM):
             for mode in SearchMode:
-                run(dim, mode)
-        assert budgets == [None] * 8
-        run(5, SearchMode.FIRST)
-        run(6, SearchMode.FIRST, reduce=True)
-        assert budgets[8:] == [module.DEFAULT_NODE_BUDGET] * 2
+                for reduce in (False, True):
+                    run(dim, mode, reduce)
+        assert budgets == [None] * 16
 
     def test_a_given_budget_replaces_it(self, budgets):
         run(5, SearchMode.FIRST, budget=7)
         assert budgets == [7]
 
     def test_prove_is_unaffected(self, module, monkeypatch):
-        monkeypatch.setattr(module, "DEFAULT_NODE_BUDGET", 1)
+        walks = []
+        walk = module._explore
+
+        def watched(*args, **kwargs):
+            walks.append(kwargs.get("node_budget"))
+            return walk(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_explore", watched)
         assert prove_impossibility(3).nodes_explored == 12
         assert prove_impossibility(4).nodes_explored == 9348
+        assert walks == [None] * 3  # n = 3 adds the unreduced cross-check
 
 
 class TestParallel:
