@@ -23,7 +23,7 @@ from typing import IO, Optional, Union
 from .lifting import lift
 from .search import SearchConfig, search, search_randomized
 from .sequences import TernarySequence, VerificationReport, le_bytes, le_values, verify
-from .words import MAX_DIM, _Frozen
+from .words import MAX_DIM, _check_int, _Frozen
 
 BASE_DIMS = (2, 5, 6)
 FORMATS = ("decimal", "binary")
@@ -67,8 +67,7 @@ def exists(n: int) -> bool:
 
     True for every n >= 2 except 3 and 4.
     """
-    if n < 2:
-        raise ValueError(f"the ternary property is defined for n >= 2, got {n}")
+    _check_int("n", n, 2)
     return n not in (3, 4)
 
 
@@ -77,10 +76,9 @@ def _base_dim(n: int) -> int:
 
     That includes an n whose estimated peak memory exceeds physical memory.
     """
-    if not exists(n):  # raises ValueError for n < 2
+    if not exists(n):  # refuses a non-int n and n < 2 first
         raise NonexistentDimensionError(n)
-    if n > MAX_DIM:
-        raise ValueError(f"dimension must be at most {MAX_DIM}, got {n}")
+    _check_int("n", n, 2, MAX_DIM)
     peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
     memory = _physical_memory()
     if memory is not None and peak > memory:
@@ -462,6 +460,7 @@ class BaseCaseStore:
         self._lock = threading.Lock()
 
     def get(self, dim: int) -> TernarySequence:
+        _check_int("dim", dim, 2)  # 5.0 == 5 would find the cached 5, and name no fixture file
         found = self._found.get(dim)
         if found is not None:
             return found

@@ -15,6 +15,7 @@ __all__ = ["lift", "lift_place"]
 from array import array
 
 from .sequences import TernarySequence, lanes, unlanes, verify
+from .words import MAX_DIM, _check_int
 
 
 #: The splice tag that closes block b = 0, 1, 2: the output word there is
@@ -63,10 +64,10 @@ def lift_place(k: int, t: int) -> tuple[int, int]:
     three splices.  At k = 3 positions 2k+4 and 3k+1 would collide,
     hence the k >= 7 floor.
     """
-    if k < 7 or (k & (k + 1)) != 0:
+    _check_int("k", k, 7)
+    if k & (k + 1):
         raise ValueError(f"k must be 2**n - 1 for some n >= 3, got {k}")
-    if not 1 <= t <= 4 * k + 3:
-        raise ValueError(f"position must be in [1, {4 * k + 3}], got {t}")
+    _check_int("position", t, 1, 4 * k + 3)
     block, j = divmod(t - 1, k + 1)
     if j == k:
         return 0, SPLICES[block]
@@ -88,8 +89,7 @@ def lift(seq: TernarySequence) -> TernarySequence:
     verify() keeps its report on the sequence, so along a chain of lifts
     the input check is a lookup of the previous lift's output check.
     """
-    if seq.dim < 3:
-        raise ValueError(f"lifting needs dimension >= 3, got {seq.dim}")
+    _check_int("source dimension", seq.dim, 3, MAX_DIM - 2)
     report = verify(seq)
     if not report.valid:
         raise ValueError(f"input is not a ternary permutation: {report.failure}")

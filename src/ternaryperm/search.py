@@ -24,7 +24,7 @@ from typing import Optional
 
 from ._version import VERSION
 from .sequences import TernarySequence, verify
-from .words import _Frozen
+from .words import _check_int, _Frozen
 
 #: The largest search dimension: a search there needs a node budget, one below runs to its answer.
 MAX_SEARCH_DIM = 6
@@ -87,18 +87,14 @@ class SearchConfig(_Frozen):
         symmetry_reduction: bool = False,
         node_budget: Optional[int] = None,
     ):
-        ints = (dim, 0 if node_budget is None else node_budget)
-        if any(isinstance(v, bool) or not isinstance(v, int) for v in ints):
-            raise TypeError("dim must be an int, and node_budget an int or None")
+        _check_int("search dimension", dim, 2, MAX_SEARCH_DIM)
+        if node_budget is not None:
+            _check_int("node_budget", node_budget, 1)
         if not isinstance(symmetry_reduction, bool):
             raise TypeError(f"symmetry_reduction must be a bool, got {type(symmetry_reduction).__name__}")
         mode = SearchMode(mode)
-        if not 2 <= dim <= MAX_SEARCH_DIM:
-            raise ValueError(f"search dimension must be in [2, {MAX_SEARCH_DIM}], got {dim}")
         if node_budget is None and dim == MAX_SEARCH_DIM:
             raise ValueError(f"a search at dimension {dim} needs a node budget: its tree is too large")
-        if node_budget is not None and node_budget < 1:
-            raise ValueError(f"node budget must be positive, got {node_budget}")
         super().__init__(dim, mode, symmetry_reduction, node_budget)
 
 
@@ -148,8 +144,7 @@ def _apply_prefix(dim: int, prefix: tuple[int, ...]):
     used = 0
     lim = 1
     for slot, w in enumerate(prefix):
-        if not 1 <= w <= size:
-            raise ValueError(f"prefix value {w} out of range [1, {size}]")
+        _check_int("prefix value", w, 1, size)
         m = 1 << w
         if used & m:
             return None
@@ -431,10 +426,7 @@ def search_parallel(config: SearchConfig, workers: int) -> SearchOutcome:
     entries walked by _walk_subtrees, in this process for a single entry
     or a single worker.
     """
-    if isinstance(workers, bool) or not isinstance(workers, int):
-        raise TypeError(f"workers must be an int, got {type(workers).__name__}")
-    if workers < 1:
-        raise ValueError(f"worker count must be positive, got {workers}")
+    _check_int("workers", workers, 1)
     budget = config.node_budget
     prefix = _OPENING if config.symmetry_reduction else ()
     frontier = [] if config.mode is SearchMode.COUNT and budget is None else None
@@ -513,8 +505,7 @@ def naive_count(dim: int) -> int:
     point: this is the independent cross-check.  Feasible for dim <= 3
     (at most 7! candidates).
     """
-    if not 2 <= dim <= 3:
-        raise ValueError(f"naive filtering is feasible for dimensions 2 and 3, got {dim}")
+    _check_int("dim", dim, 2, 3)
     size = (1 << dim) - 1
     total = 0
     for perm in permutations(range(1, size + 1)):
@@ -568,8 +559,7 @@ def prove_impossibility(dim: int) -> ImpossibilityCertificate:
     unscaled kernel walk of the whole tree: a scaled one would rest on
     the same symmetry argument it is meant to check.
     """
-    if dim not in (3, 4):
-        raise ValueError(f"exhaustive impossibility runs cover dimensions 3 and 4, got {dim}")
+    _check_int("dim", dim, 3, 4)
     reduced = search(SearchConfig(dim, SearchMode.FIRST, True))
     cross_nodes = None
     lemma = None

@@ -14,7 +14,7 @@ from array import array
 from itertools import compress, count
 from typing import Iterable, Iterator, Optional
 
-from .words import MAX_DIM, Word, _Frozen
+from .words import MAX_DIM, Word, _check_int, _Frozen
 
 # The whole-buffer paths here, in lifting and in catalog pack one word per
 # 32-bit lane of an array('I'); MAX_DIM <= 30 keeps every value and its
@@ -60,15 +60,13 @@ class VerificationFailure(_Frozen):
 
 
 class VerificationReport(_Frozen):
-    """Outcome of verify(): valid, or the first violation found."""
+    """Outcome of verify(): the first violation found, or None for a valid sequence."""
 
-    valid: bool
-    failure: Optional[VerificationFailure]
+    failure: Optional[VerificationFailure] = None
 
-    def __init__(self, valid: bool, failure: Optional[VerificationFailure] = None):
-        if valid == (failure is not None):
-            raise ValueError("a report is valid exactly when it carries no failure")
-        super().__init__(valid, failure)
+    @property
+    def valid(self) -> bool:
+        return self.failure is None
 
 
 class TernarySequence(_Frozen):
@@ -95,12 +93,7 @@ class TernarySequence(_Frozen):
 
     def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
         """Fill a new instance; every constructor passes here, so the dimension is checked here."""
-        if isinstance(dim, bool) or not isinstance(dim, int):
-            raise TypeError(f"dim must be an int, got {type(dim).__name__}")
-        if dim < 2:
-            raise ValueError(f"sequences are defined for dimension >= 2, got {dim}")
-        if dim > MAX_DIM:
-            raise ValueError(f"dimension must be in [2, {MAX_DIM}], got {dim}")
+        _check_int("dim", dim, 2, MAX_DIM)
         super().__init__(dim, decimals)
         self.__dict__.update(_words=words, _report=None)
 
@@ -110,9 +103,8 @@ class TernarySequence(_Frozen):
         if not all(issubclass(t, int) and t is not bool for t in set(map(type, seq.decimals))):
             raise TypeError("values must be ints")
         if seq.decimals:
-            for bad in (min(seq.decimals), max(seq.decimals)):
-                if not 0 <= bad < (1 << dim):
-                    raise ValueError(f"bits {bad} out of range for dimension {dim}")
+            _check_int("bits", min(seq.decimals), 0, (1 << dim) - 1)
+            _check_int("bits", max(seq.decimals), 0, (1 << dim) - 1)
         return seq
 
     @classmethod
@@ -160,14 +152,8 @@ def _check(seq: TernarySequence) -> VerificationReport:
     expected = (1 << seq.dim) - 1
     actual = len(vals)
     if actual != expected:
-        return VerificationReport(
-            False,
-            VerificationFailure(
-                "length",
-                min(actual, expected) + 1,
-                f"expected {expected} words for n={seq.dim}, got {actual}",
-            ),
-        )
+        detail = f"expected {expected} words for n={seq.dim}, got {actual}"
+        return VerificationReport(VerificationFailure("length", min(actual, expected) + 1, detail))
     # Values are in [0, expected] by construction, so expected distinct
     # nonzero ones are a permutation; the scan only locates the violation.
     seen = set(vals)
@@ -175,19 +161,10 @@ def _check(seq: TernarySequence) -> VerificationReport:
         first_at: dict[int, int] = {}
         for pos, v in enumerate(vals, start=1):
             if v == 0:
-                return VerificationReport(
-                    False,
-                    VerificationFailure("zero-word", pos, f"word at position {pos} is zero"),
-                )
+                return VerificationReport(VerificationFailure("zero-word", pos, f"word at position {pos} is zero"))
             if v in first_at:
-                return VerificationReport(
-                    False,
-                    VerificationFailure(
-                        "duplicate",
-                        pos,
-                        f"word {v} at position {pos} already appeared at position {first_at[v]}",
-                    ),
-                )
+                detail = f"word {v} at position {pos} already appeared at position {first_at[v]}"
+                return VerificationReport(VerificationFailure("duplicate", pos, detail))
             first_at[v] = pos
     # Sum j (0-based) is vals[2j] ^ vals[2j + 1] ^ vals[2j + 2], centred on
     # the 1-based even index 2j + 2; expected is odd, so the slices cover
@@ -200,12 +177,6 @@ def _check(seq: TernarySequence) -> VerificationReport:
         sums = unlanes(packed, len(odd) - 1)
         j = next(compress(count(), sums))  # index of the first nonzero sum
         i = 2 * j + 2
-        return VerificationReport(
-            False,
-            VerificationFailure(
-                "triple-sum",
-                i,
-                f"v{i - 1} XOR v{i} XOR v{i + 1} = {sums[j]}, expected 0",
-            ),
-        )
-    return VerificationReport(True)
+        detail = f"v{i - 1} XOR v{i} XOR v{i + 1} = {sums[j]}, expected 0"
+        return VerificationReport(VerificationFailure("triple-sum", i, detail))
+    return VerificationReport()

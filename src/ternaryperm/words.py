@@ -7,6 +7,8 @@ from __future__ import annotations
 
 __all__ = ["MAX_DIM", "Word"]
 
+from typing import Optional
+
 # The whole-buffer paths pack one word per 32-bit lane of an array('I')
 # (see the lane check in sequences.py), and a lift shifts each value left
 # for its two-bit tag: 30 bits plus the tag is all that fits in a lane.
@@ -83,6 +85,21 @@ class _Frozen:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
+def _check_int(name: str, value: object, lo: int, hi: Optional[int] = None) -> None:
+    """Refuse a value that is not an int in [lo, hi], or at least lo when hi is None.
+
+    A bool is not an int here: TypeError("{name} must be an int, got bool").
+    Out of range is ValueError("{name} must be in [lo, hi], got v"), or
+    "must be at least lo" without hi.  The exact type is tested first, so
+    a plain int, by far the commonest argument, skips the subclass tests.
+    """
+    if type(value) is not int and (type(value) is bool or not isinstance(value, int)):
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+    if value < lo or hi is not None and value > hi:
+        bound = f"at least {lo}" if hi is None else f"in [{lo}, {hi}]"
+        raise ValueError(f"{name} must be {bound}, got {value}")
+
+
 class Word(_Frozen):
     """An n-bit vector stored as an unsigned bitmask.
 
@@ -95,13 +112,8 @@ class Word(_Frozen):
     dim: int
 
     def __init__(self, bits: int, dim: int):
-        for name, value in (("bits", bits), ("dim", dim)):
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-        if not 1 <= dim <= MAX_DIM:
-            raise ValueError(f"dimension must be in [1, {MAX_DIM}], got {dim}")
-        if not 0 <= bits < (1 << dim):
-            raise ValueError(f"bits {bits} out of range for dimension {dim}")
+        _check_int("dim", dim, 1, MAX_DIM)
+        _check_int("bits", bits, 0, (1 << dim) - 1)
         super().__init__(bits, dim)
 
     @property

@@ -134,7 +134,7 @@ class TestRoute:
     @pytest.mark.parametrize("n", (31, 20000))
     def test_refuses_what_generate_refuses(self, n):
         for build in (construction_route, generate):
-            with pytest.raises(ValueError, match="dimension must be at most 30"):
+            with pytest.raises(ValueError, match=rf"^n must be in \[2, 30\], got {n}$"):
                 build(n)
 
 
@@ -586,6 +586,24 @@ class TestBaseCaseStore:
         assert verify(fresh.get(6)).valid
         assert fresh.get(6) == search_randomized(6, seed=0).sequence
         assert searches == [("search", 2), ("search", 5), ("search_randomized", 6)]
+
+    def test_a_non_int_dim_is_refused_before_the_cache_and_any_search(self, monkeypatch):
+        # 5.0 == 5, so a store holding 5 handed it out, and a fresh store
+        # looked for 5.0.txt, missed the packaged 5.txt and started a search
+        def no_search(*args, **kwargs):
+            pytest.fail("the store started a search")
+
+        monkeypatch.setattr(catalog, "search", no_search)
+        monkeypatch.setattr(catalog, "search_randomized", no_search)
+        for dim in (5.0, 6.0):
+            with pytest.raises(TypeError, match="^dim must be an int, got float$"):
+                BaseCaseStore().get(dim)
+        store = BaseCaseStore()
+        assert store.get(5).decimals == BASE5_DECIMALS
+        with pytest.raises(TypeError, match="^dim must be an int, got float$"):
+            store.get(5.0)
+        with pytest.raises(TypeError, match="^dim must be an int, got bool$"):
+            store.get(True)
 
     def test_sequences_are_cached(self):
         store = BaseCaseStore()

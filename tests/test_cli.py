@@ -283,7 +283,7 @@ class TestSearch:
         )
         assert code == EXIT_INVALID_INPUT
         assert out == ""
-        assert "worker count must be positive" in err
+        assert err == "error: workers must be at least 1, got 0\n"
 
     def test_reduce_toggle(self, capsys):
         code, out, _ = run(
@@ -364,7 +364,7 @@ class TestInfo:
             code, out, err = run(capsys, command, "--dim", dim)
             assert code == EXIT_INVALID_INPUT
             assert out == ""
-            assert f"dimension must be at most 30, got {dim}" in err
+            assert err == f"error: n must be in [2, 30], got {dim}\n"
 
 
 @pytest.mark.parametrize("dim", (2, 5, 6, 7, 8, 9, 10, 11, 12))

@@ -148,6 +148,12 @@ class TestLift:
         with pytest.raises(ValueError):
             lift(TernarySequence.from_decimals(2, (1, 2, 3)))
 
+    def test_rejects_a_source_whose_lift_would_pass_max_dim(self):
+        # refused up front, before any word is checked or tagged
+        for dim in (29, 30):
+            with pytest.raises(ValueError, match=rf"^source dimension must be in \[3, 28\], got {dim}$"):
+                lift(TernarySequence._trusted(dim, ()))
+
     def test_rejects_invalid_input(self):
         bad = TernarySequence.from_decimals(5, range(1, 32))
         with pytest.raises(ValueError, match="not a ternary permutation"):

@@ -173,7 +173,7 @@ FIELDS = {
     "Word": ("bits", "dim"),
     "TernarySequence": ("dim", "decimals"),
     "VerificationFailure": ("kind", "index", "detail"),
-    "VerificationReport": ("valid", "failure"),
+    "VerificationReport": ("failure",),
     "SearchConfig": ("dim", "mode", "symmetry_reduction", "node_budget"),
     "SearchOutcome": ("dim", "mode", "symmetry_reduction", "nodes_explored", "sequence", "count"),
     "ImpossibilityCertificate": (
@@ -194,6 +194,7 @@ def test_the_value_types_fields_are_their_annotations():
 #: The fields that take a default when a call leaves them out, with it:
 #: given beside the annotation, and bound by _Frozen.__init__.
 DEFAULTS = {
+    "VerificationReport": {"failure": None},
     "SearchOutcome": {"sequence": None, "count": None},
     "ImpossibilityCertificate": {
         "cross_check_unreduced_nodes": None, "total_xor_zero": None,
@@ -202,7 +203,7 @@ DEFAULTS = {
 }
 
 #: The value types without an __init__ of their own: _Frozen binds their fields.
-RECORDS = ("VerificationFailure", "LoadResult", "SearchOutcome", "ImpossibilityCertificate")
+RECORDS = ("VerificationFailure", "VerificationReport", "LoadResult", "SearchOutcome", "ImpossibilityCertificate")
 
 _SEQ = ternaryperm.TernarySequence.from_decimals(2, (1, 2, 3))
 
@@ -211,9 +212,7 @@ SAMPLES = {
     "Word": {"bits": 5, "dim": 3},
     "TernarySequence": {"dim": 2, "words": _SEQ.words},
     "VerificationFailure": {"kind": "length", "index": 1, "detail": "expected 3 words for n=2, got 0"},
-    "VerificationReport": {
-        "valid": False, "failure": ternaryperm.VerificationFailure("zero-word", 2, "word at position 2 is zero"),
-    },
+    "VerificationReport": {"failure": ternaryperm.VerificationFailure("zero-word", 2, "word at position 2 is zero")},
     "SearchConfig": {
         "dim": 4, "mode": ternaryperm.SearchMode.COUNT, "symmetry_reduction": True, "node_budget": 100,
     },
@@ -225,7 +224,7 @@ SAMPLES = {
         "dim": 3, "nonexistent": True, "symmetry_reduction": True, "nodes_explored": 12,
         "cross_check_unreduced_nodes": 30, "total_xor_zero": True, "verifier_version": "0.0",
     },
-    "LoadResult": {"sequence": _SEQ, "format": "decimal", "report": ternaryperm.VerificationReport(True)},
+    "LoadResult": {"sequence": _SEQ, "format": "decimal", "report": ternaryperm.VerificationReport()},
 }
 
 
@@ -271,11 +270,31 @@ def test_a_record_refuses_a_call_that_does_not_bind_each_field_once(name):
         cls(*args, **{first: args[0]})
     with pytest.raises(TypeError, match=f"^{name} has no field 'colour'$"):
         cls(*args, colour=None)
+    required = [field for field in FIELDS[name] if field not in DEFAULTS.get(name, {})]
+    if not required:  # VerificationReport: its one field has a default
+        return
     with pytest.raises(TypeError, match=f"^{name} is missing field '{FIELDS[name][1]}'$"):
         cls(args[0])
-    required = [field for field in FIELDS[name] if field not in DEFAULTS.get(name, {})]
     with pytest.raises(TypeError, match=f"^{name} is missing field '{required[-1]}'$"):
         cls(**{key: value for key, value in kwargs.items() if key != required[-1]})
+
+
+#: Entry points that took a float or a bool for an int: exists(5.0) said
+#: True, and the others failed inside arithmetic or a later constructor.
+NON_INT_CALLS = (
+    ("exists", (5.0,), "n", "float"),
+    ("generate", (5.0,), "n", "float"),
+    ("construction_route", (True,), "n", "bool"),
+    ("prove_impossibility", (3.0,), "dim", "float"),
+    ("naive_count", (3.0,), "dim", "float"),
+    ("lift_place", (7.0, 1), "k", "float"),
+)
+
+
+@pytest.mark.parametrize("name, args, argument, kind", NON_INT_CALLS, ids=[c[0] for c in NON_INT_CALLS])
+def test_entry_points_refuse_a_non_int_naming_the_argument(name, args, argument, kind):
+    with pytest.raises(TypeError, match=f"^{argument} must be an int, got {kind}$"):
+        getattr(ternaryperm, name)(*args)
 
 
 def unused_imports(source):

@@ -17,7 +17,7 @@ from ternaryperm.search import (
     search_parallel,
     search_randomized,
 )
-from ternaryperm.search import _explore, _free_positions, _walk_subtrees
+from ternaryperm.search import _apply_prefix, _explore, _free_positions, _walk_subtrees
 from ternaryperm.sequences import verify
 
 from conftest import BASE5_DECIMALS
@@ -140,9 +140,13 @@ class TestConfig:
 
     def test_rejects_bools_for_integer_fields(self):
         # bool is a subclass of int: node_budget=True stood for one node
-        message = "dim must be an int, and node_budget an int or None"
-        for kwargs in ({"dim": True}, {"dim": 3, "node_budget": True}, {"dim": 3, "node_budget": False}):
-            with pytest.raises(TypeError, match=message):
+        cases = (
+            ({"dim": True}, "search dimension"),
+            ({"dim": 3, "node_budget": True}, "node_budget"),
+            ({"dim": 3, "node_budget": False}, "node_budget"),
+        )
+        for kwargs, name in cases:
+            with pytest.raises(TypeError, match=f"^{name} must be an int, got bool$"):
                 SearchConfig(**kwargs)
 
     def test_symmetry_reduction_must_be_a_bool(self):
@@ -152,7 +156,7 @@ class TestConfig:
                 SearchConfig(4, "first", value)
 
     def test_budget_must_be_positive(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="^node_budget must be at least 1, got 0$"):
             SearchConfig(dim=2, node_budget=0)
 
 
@@ -224,6 +228,35 @@ class TestProveNone:
             reduced = run(dim, SearchMode.FIRST, reduce=True)
             unreduced = run(dim, SearchMode.FIRST)
             assert (reduced.sequence is None) == (unreduced.sequence is None)
+
+
+class TestPrefixChecks:
+    """_apply_prefix refuses what is not a prefix and reports an inconsistent one as None; _explore then walks nothing."""
+
+    def test_a_taken_follower(self):
+        # at n = 3 the open slots are positions 1, 2, 4 and 6; the last
+        # slot takes 3 after 2, so its forced follower is 1, the first word
+        assert _apply_prefix(3, (1, 7, 4, 3)) is None
+        assert _explore(3, SearchMode.COUNT, (1, 7, 4, 3)) == (None, 0, 0)
+
+    def test_a_repeated_word(self):
+        assert _apply_prefix(3, (1, 1)) is None
+        assert _explore(3, SearchMode.COUNT, (1, 1)) == (None, 0, 0)
+
+    def test_a_prefix_longer_than_the_open_slots(self):
+        with pytest.raises(ValueError, match="^prefix longer than the 4 open slots$"):
+            _explore(3, SearchMode.COUNT, (1, 2, 4, 6, 3))
+
+    def test_a_word_out_of_range(self):
+        for w in (0, 8):
+            with pytest.raises(ValueError, match=rf"^prefix value must be in \[1, 7\], got {w}$"):
+                _explore(3, SearchMode.COUNT, (1, w))
+
+    def test_a_word_that_is_not_an_int(self):
+        # True used to stand for the word 1
+        for w, kind in ((2.0, "float"), (True, "bool")):
+            with pytest.raises(TypeError, match=f"^prefix value must be an int, got {kind}$"):
+                _explore(3, SearchMode.COUNT, (1, w))
 
 
 class TestKernelOracle:
@@ -588,7 +621,7 @@ class TestParallel:
                 search_parallel(config, workers)
 
     def test_no_workers_rejected(self):
-        with pytest.raises(ValueError, match="worker count must be positive, got 0"):
+        with pytest.raises(ValueError, match=r"^workers must be at least 1, got 0$"):
             search_parallel(SearchConfig(dim=3, mode=SearchMode.COUNT), workers=0)
 
 

@@ -38,18 +38,18 @@ class TestSequenceType:
     @pytest.mark.parametrize("dim", (31, 40))
     def test_empty_sequences_refuse_dimensions_past_the_cap(self, dim):
         for build in (TernarySequence, TernarySequence.from_decimals):
-            with pytest.raises(ValueError, match=f"dimension must be in \\[2, 30\\], got {dim}"):
+            with pytest.raises(ValueError, match=f"^dim must be in \\[2, 30\\], got {dim}$"):
                 build(dim, ())
         assert seq(30, ()).dim == 30
 
     def test_nonempty_input_keeps_its_messages(self):
-        with pytest.raises(ValueError, match=r"dimension must be in \[2, 30\], got 40"):
+        with pytest.raises(ValueError, match=r"^dim must be in \[2, 30\], got 40$"):
             seq(40, (1, 2, 3))
-        with pytest.raises(ValueError, match="bits 4 out of range for dimension 2"):
+        with pytest.raises(ValueError, match=r"^bits must be in \[0, 3\], got 4$"):
             seq(2, (1, 2, 4))
         with pytest.raises(ValueError, match="word at position 2 has dimension 2, expected 3"):
             TernarySequence(3, (Word(1, 3), Word(1, 2)))
-        with pytest.raises(ValueError, match="sequences are defined for dimension >= 2, got 1"):
+        with pytest.raises(ValueError, match=r"^dim must be in \[2, 30\], got 1$"):
             TernarySequence(1, (Word(1, 1),))
 
     def test_words_coerced_to_tuple(self):
@@ -218,9 +218,16 @@ class TestVerify:
         assert report.failure.kind == "duplicate"
         assert report.failure.index == 5
 
-    def test_report_consistency_guard(self):
-        with pytest.raises(ValueError):
-            VerificationReport(True, verify(seq(2, (1, 1, 2))).failure)
+    def test_a_report_is_its_failure(self):
+        failure = verify(seq(2, (1, 1, 2))).failure
+        assert failure is not None
+        assert VerificationReport(failure).failure is failure
+        assert VerificationReport(failure).valid is False
+        assert VerificationReport().valid is True
+        assert VerificationReport() == verify(seq(2, (1, 2, 3)))
+        assert repr(VerificationReport()) == "VerificationReport(failure=None)"
+        with pytest.raises(FrozenInstanceError):
+            VerificationReport().valid = False
 
     def test_failure_message_uses_1_based_positions(self):
         report = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))

@@ -4,7 +4,7 @@ from operator import xor
 import pytest
 from hypothesis import given, strategies as st
 
-from ternaryperm.words import MAX_DIM, Word
+from ternaryperm.words import MAX_DIM, Word, _check_int
 
 
 def w(text):
@@ -13,13 +13,13 @@ def w(text):
 
 class TestWordType:
     def test_rejects_stray_high_bits(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^bits must be in \[0, 3\], got 4$"):
             Word(4, 2)
 
     def test_rejects_bad_dimensions(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^dim must be in \[1, {MAX_DIM}\], got 0$"):
             Word(0, 0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"^dim must be in \[1, {MAX_DIM}\], got {MAX_DIM + 1}$"):
             Word(0, MAX_DIM + 1)
 
     def test_rejects_non_integer_fields(self):
@@ -29,6 +29,10 @@ class TestWordType:
         for bits, dim in ((1.5, 2), (1.0, 2), (1, 2.0), ("1", 2), (True, 2), (1, True)):
             with pytest.raises(TypeError):
                 Word(bits, dim)
+
+    def test_is_zero(self):
+        assert Word(0, 3).is_zero
+        assert not Word(5, 3).is_zero
 
     def test_printing_is_msb_first(self):
         assert Word(2, 7).to_string() == "0000010"
@@ -52,6 +56,29 @@ class TestWordType:
                 parse_word(text)
 
 
+class TestCheckInt:
+    """The one integer check: every dimension, budget, worker count and prefix word goes through it."""
+
+    def test_an_int_in_range_passes(self):
+        class Small(int):
+            pass
+
+        for value, lo, hi in ((0, 0, 0), (7, 1, 7), (1, 1, 7), (10**30, 1, None), (Small(2), 1, 3)):
+            assert _check_int("x", value, lo, hi) is None
+
+    @pytest.mark.parametrize("value, kind", [(5.0, "float"), (True, "bool"), (False, "bool"), ("5", "str"), (None, "NoneType")])
+    def test_anything_else_is_a_type_error(self, value, kind):
+        with pytest.raises(TypeError, match=f"^x must be an int, got {kind}$"):
+            _check_int("x", value, 0)
+
+    def test_out_of_range_is_a_value_error_in_one_of_two_forms(self):
+        for value in (0, 8):
+            with pytest.raises(ValueError, match=rf"^x must be in \[1, 7\], got {value}$"):
+                _check_int("x", value, 1, 7)
+        with pytest.raises(ValueError, match="^x must be at least 1, got -3$"):
+            _check_int("x", -3, 1)
+
+
 class TestWordAdd:
     def test_self_inverse(self):
         assert w("01") ^ w("01") == w("00")
@@ -65,6 +92,12 @@ class TestWordAdd:
 
     def test_xor_operator(self):
         assert (w("110") ^ w("011")) == w("101")
+
+    def test_xor_with_a_non_word(self):
+        # NotImplemented lets Python try the other operand, then raise TypeError
+        assert Word(1, 3).__xor__(1) is NotImplemented
+        with pytest.raises(TypeError):
+            Word(1, 3) ^ 1
 
     def test_exhaustive_group_laws_dim_2(self):
         words = [Word(b, 2) for b in range(4)]
