@@ -22,7 +22,7 @@ from typing import IO, Optional, Union
 
 from .lifting import lift
 from .search import SearchConfig, search, search_randomized
-from .sequences import TernarySequence, VerificationReport, le_bytes, le_values, verify
+from .sequences import TernarySequence, VerificationReport, _require, le_bytes, le_values, verify
 from .words import MAX_DIM, _check_int, _Frozen
 
 BASE_DIMS = (2, 5, 6)
@@ -380,9 +380,7 @@ def _read_utf8(path: Union[str, Path]) -> str:
 
 def save(seq: TernarySequence, destination: Source, fmt: str = "decimal") -> None:
     """Write a sequence in the given format; refuses unverified input."""
-    report = verify(seq)
-    if not report.valid:
-        raise ValueError(f"refusing to save an invalid sequence: {report.failure}")
+    _require(verify(seq), ValueError, "refusing to save an invalid sequence")
     text = format_sequence(seq, fmt)
     if hasattr(destination, "write"):
         destination.write(text)
@@ -478,11 +476,10 @@ class BaseCaseStore:
                 return search_randomized(dim, seed=0).sequence
             return search(SearchConfig(dim, symmetry_reduction=True)).sequence
         result = load(path)
-        seq, report = result.sequence, result.report
+        seq = result.sequence
         if seq.dim != dim:
             raise ValueError(f"fixture {path} holds dimension {seq.dim}, expected {dim}")
-        if not report.valid:
-            raise ValueError(f"fixture {path} is not a ternary permutation: {report.failure}")
+        _require(result.report, ValueError, f"fixture {path} is not a ternary permutation")
         return seq
 
 

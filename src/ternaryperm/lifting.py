@@ -14,7 +14,7 @@ __all__ = ["lift", "lift_place"]
 
 from array import array
 
-from .sequences import TernarySequence, lanes, unlanes, verify
+from .sequences import TernarySequence, _require, lanes, unlanes, verify
 from .words import MAX_DIM, _check_int
 
 
@@ -90,9 +90,7 @@ def lift(seq: TernarySequence) -> TernarySequence:
     the input check is a lookup of the previous lift's output check.
     """
     _check_int("source dimension", seq.dim, 3, MAX_DIM - 2)
-    report = verify(seq)
-    if not report.valid:
-        raise ValueError(f"input is not a ternary permutation: {report.failure}")
+    _require(verify(seq), ValueError, "input is not a ternary permutation")
     k = len(seq.decimals)
     shifted = lanes(array("I", seq.decimals)) << 2
     # a, b, c, d[j] is source index j + 1 tagged with that family; the
@@ -110,7 +108,5 @@ def lift(seq: TernarySequence) -> TernarySequence:
     out.extend((c[0], c[1], SPLICES[2], d[1], d[0]))
     out += d[2:]
     result = TernarySequence._trusted(seq.dim + 2, tuple(out))  # in range by construction
-    report = verify(result)
-    if not report.valid:  # block arithmetic regression; cannot happen otherwise
-        raise RuntimeError(f"lifted sequence failed verification: {report.failure}")
+    _require(verify(result), RuntimeError, "lifted sequence failed verification")  # a block arithmetic regression
     return result

@@ -23,7 +23,7 @@ from operator import xor
 from typing import Optional
 
 from ._version import VERSION
-from .sequences import TernarySequence, verify
+from .sequences import TernarySequence, _require, verify
 from .words import _check_int, _Frozen
 
 #: The largest search dimension: a search there needs a node budget, one below runs to its answer.
@@ -386,9 +386,7 @@ def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: in
     sequence = None
     if config.mode is SearchMode.FIRST and first is not None:
         sequence = TernarySequence.from_decimals(config.dim, first)
-        report = verify(sequence)
-        if not report.valid:
-            raise RuntimeError(f"search returned an invalid sequence: {report.failure}")
+        _require(verify(sequence), RuntimeError, "search returned an invalid sequence")
     return SearchOutcome(
         dim=config.dim,
         mode=config.mode,
@@ -475,6 +473,7 @@ def search_randomized(dim: int, seed: int = 0) -> SearchOutcome:
     BudgetExhaustedError over their nodes: "all 64 attempts exhausted after N nodes".
     """
     config = SearchConfig(dim, symmetry_reduction=True, node_budget=_ATTEMPT_BUDGET)
+    _check_int("seed", seed, 0)
     drawn = _free_positions(dim)[len(_OPENING) : -_TAIL]
     total_nodes = 0
     for attempt in range(_ATTEMPTS):

@@ -11,6 +11,7 @@ __all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "veri
 
 import sys
 from array import array
+from functools import cached_property
 from itertools import compress, count
 from typing import Iterable, Iterator, Optional
 
@@ -74,11 +75,11 @@ class TernarySequence(_Frozen):
 
     Holding a TernarySequence certifies nothing; run verify() for that.
     Construction only pins the coherent bits: dimension at least 2 and
-    every word of that dimension.  The words are stored as their decimal
-    values; .words builds the Word objects on first read, and verify()
-    keeps its report on the instance.  Instances are immutable, and
-    compare, hash and pickle by (dim, decimals) alone: those are the
-    fields, and _words and _report are plain attributes.
+    every word a Word of that dimension.  The words are stored as their
+    decimal values; .words builds the Word objects on first read, and
+    verify() keeps its report on the instance, both as cached properties.
+    Instances are immutable, and compare, hash and pickle by (dim,
+    decimals) alone: a copy or a pickle carries neither cached value.
     """
 
     dim: int
@@ -86,16 +87,14 @@ class TernarySequence(_Frozen):
 
     def __init__(self, dim: int, words: Iterable[Word]):
         words = tuple(words)
-        self._set(dim, tuple(w.bits for w in words), words)
+        _check_int("dim", dim, 2, MAX_DIM)
         for pos, w in enumerate(words, start=1):
+            if not isinstance(w, Word):
+                raise TypeError(f"word at position {pos} must be a Word, got {type(w).__name__}")
             if w.dim != dim:
                 raise ValueError(f"word at position {pos} has dimension {w.dim}, expected {dim}")
-
-    def _set(self, dim: int, decimals: tuple[int, ...], words: Optional[tuple[Word, ...]]) -> None:
-        """Fill a new instance; every constructor passes here, so the dimension is checked here."""
-        _check_int("dim", dim, 2, MAX_DIM)
-        super().__init__(dim, decimals)
-        self.__dict__.update(_words=words, _report=None)
+        super().__init__(dim, tuple(w.bits for w in words))
+        self.__dict__["words"] = words
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
@@ -110,15 +109,18 @@ class TernarySequence(_Frozen):
     @classmethod
     def _trusted(cls, dim: int, decimals: tuple[int, ...]) -> "TernarySequence":
         """An instance over the values as given; only the dimension is checked."""
+        _check_int("dim", dim, 2, MAX_DIM)
         seq = cls.__new__(cls)
-        seq._set(dim, decimals, None)
+        _Frozen.__init__(seq, dim, decimals)
         return seq
 
-    @property
+    @cached_property
     def words(self) -> tuple[Word, ...]:
-        if self._words is None:
-            object.__setattr__(self, "_words", tuple(Word(v, self.dim) for v in self.decimals))
-        return self._words
+        return tuple(Word(v, self.dim) for v in self.decimals)
+
+    @cached_property
+    def _report(self) -> VerificationReport:
+        return _check(self)
 
     def __reduce__(self):
         return self._trusted, (self.dim, self.decimals)
@@ -140,11 +142,15 @@ def verify(seq: TernarySequence) -> VerificationReport:
     so the report is kept on it and checking the same object again is a
     lookup.
     """
-    report = seq._report
-    if report is None:
-        report = _check(seq)
-        object.__setattr__(seq, "_report", report)
-    return report
+    if not isinstance(seq, TernarySequence):
+        raise TypeError(f"seq must be a TernarySequence, got {type(seq).__name__}")
+    return seq._report
+
+
+def _require(report: VerificationReport, error: type[Exception], context: str) -> None:
+    """Raise error(f"{context}: {failure}") when the report holds a failure."""
+    if not report.valid:
+        raise error(f"{context}: {report.failure}")
 
 
 def _check(seq: TernarySequence) -> VerificationReport:

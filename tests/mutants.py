@@ -1,0 +1,231 @@
+"""Mutation runner: every mutant in MUTANTS must make the tests it names fail.
+
+Each entry edits one source file: its old text, which must occur exactly
+once in that file, becomes its new text.  The runner copies src/ to a
+temporary directory, applies one edit there and runs
+
+    python -m pytest -x -q -p no:cacheprovider <the entry's test ids>
+
+from the repository root with the copy first on PYTHONPATH, so the tests
+import the mutant.  A mutant is killed when pytest reports a failed test
+(exit code 1).  An entry marked equivalent cannot change what any test
+can observe; the runner only checks that its old text applies.  Before the
+mutants, the named tests must pass on an unmutated copy.
+
+Run from anywhere, with the interpreter flags the tests should run under
+(they are passed on to each pytest run):
+
+    python -X dev -W error tests/mutants.py
+
+It exits 0 when every non-equivalent mutant is killed, and 1 when one
+survives, an old text is missing or not unique, or a run cannot decide
+(an error other than a failed test, or a run past TIMEOUT seconds).
+Standard library and pytest only; pytest does not collect this file.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple, Optional
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+TIMEOUT = 120  # seconds for one pytest run
+
+
+class Mutant(NamedTuple):
+    file: str  # under src/ternaryperm
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest node ids under tests/
+    equivalent: Optional[str] = None  # why no test can observe it
+
+
+PREFIX = "test_search.py::TestPrefixChecks::"
+RANDOMIZED = "test_search.py::TestRandomizedDiscovery::"
+
+MUTANTS = [
+    # _apply_prefix's checks (TestPrefixChecks)
+    Mutant("search.py", "        if used & fm:\n            return None\n", "", (PREFIX + "test_a_taken_follower",)),
+    Mutant("search.py", "        if used & m:\n            return None\n", "", (PREFIX + "test_a_repeated_word",)),
+    Mutant(
+        "search.py",
+        '    if len(prefix) > len(free):\n        raise ValueError(f"prefix longer than the {len(free)} open slots")\n',
+        "",
+        (PREFIX + "test_a_prefix_longer_than_the_open_slots",),
+    ),
+    Mutant(
+        "search.py",
+        '        _check_int("prefix value", w, 1, size)\n',
+        "",
+        (PREFIX + "test_a_word_out_of_range", PREFIX + "test_a_word_that_is_not_an_int"),
+    ),
+    Mutant("search.py", "    if applied is None:\n        return None, 0, 0\n", "", (PREFIX + "test_a_taken_follower",)),
+    # search_randomized's draw
+    Mutant(
+        "search.py",
+        "if first is not None or not drawn:",
+        "if first is not None:",
+        (RANDOMIZED + "test_one_finished_attempt_settles_nonexistence",),
+    ),
+    Mutant(  # draw among unused words without the follower check
+        "search.py",
+        "if not (used >> w | used >> (w ^ prev)) & 1]",
+        "if not used >> w & 1]",
+        (RANDOMIZED + "test_dim6_node_count_is_pinned",),
+    ),
+    Mutant(  # skip the first drawn slot
+        "search.py",
+        "[len(_OPENING) : -_TAIL]",
+        "[len(_OPENING) + 1 : -_TAIL]",
+        (RANDOMIZED + "test_dim6_node_count_is_pinned",),
+    ),
+    Mutant(
+        "search.py",
+        "            if not assignable:  # a dead slot: the walk below counts its tries\n                break\n",
+        "            if not assignable:  # a dead slot: the walk below counts its tries\n                continue\n",
+        (RANDOMIZED + "test_a_dead_slot_before_the_last_drawn_one_ends_the_draw",),
+    ),
+    # the kernel's node and orbit arithmetic
+    Mutant(  # a dead slot credits none of its tries
+        "search.py",
+        "            if not nok:  # dead: every free word there is tried and collides\n"
+        "                nodes += nfree.bit_count()\n",
+        "            if not nok:  # dead: every free word there is tried and collides\n",
+        ("test_search.py::TestKernelOracle::test_full_trees",),
+    ),
+    Mutant(  # an off-by-one scale factor
+        "search.py",
+        "size + 1 - lim))",
+        "size - lim))",
+        ("test_search.py::TestOrbitScaling::test_scaled_matches_unscaled_and_the_reference",),
+    ),
+    Mutant(
+        "search.py",
+        "            if d + 1 == pen:  # four words left there\n",
+        "            if False:  # four words left there\n",
+        (),
+        "the second-to-last slot is then always entered, and its walk counts the nodes"
+        " the skip credits in place: answers and node totals are unchanged, only time",
+    ),
+    # the seed, the sequence type and verify
+    Mutant(
+        "search.py",
+        '    _check_int("seed", seed, 0)\n',
+        "",
+        (RANDOMIZED + "test_a_negative_seed_is_refused", RANDOMIZED + "test_a_seed_that_is_not_an_int_is_refused"),
+    ),
+    Mutant(
+        "sequences.py",
+        "            if not isinstance(w, Word):\n"
+        '                raise TypeError(f"word at position {pos} must be a Word, got {type(w).__name__}")\n',
+        "",
+        ("test_sequences.py::TestSequenceType::test_rejects_words_that_are_not_words",),
+    ),
+    Mutant(
+        "sequences.py",
+        "    if not isinstance(seq, TernarySequence):\n"
+        '        raise TypeError(f"seq must be a TernarySequence, got {type(seq).__name__}")\n',
+        "",
+        ("test_sequences.py::TestVerify::test_refuses_what_is_not_a_sequence",),
+    ),
+    Mutant(
+        "sequences.py",
+        "    if not report.valid:\n        raise error(",
+        "    if report.valid:\n        raise error(",
+        ("test_sequences.py::TestVerifyAndRaise::test_each_site_raises_its_message",),
+    ),
+    Mutant(  # a copy or a pickle carries the cached report
+        "sequences.py",
+        "    def __reduce__(self):\n        return self._trusted, (self.dim, self.decimals)\n",
+        "",
+        ("test_sequences.py::TestKeptReport::test_equality_hash_and_pickling_ignore_it",),
+    ),
+]
+
+
+def interpreter_flags() -> list[str]:
+    """This interpreter's -X dev and -W options, for each pytest run."""
+    return (["-X", "dev"] if sys.flags.dev_mode else []) + [f"-W{option}" for option in sys.warnoptions]
+
+
+def pytest_run(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
+    command = [sys.executable, *interpreter_flags(), "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command += [f"tests/{test}" for test in tests]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(copy), os.environ.get("PYTHONPATH"))))}
+    try:
+        return subprocess.run(command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT)
+    except subprocess.TimeoutExpired:
+        return subprocess.CompletedProcess(command, -1, "", f"timed out after {TIMEOUT} s")
+
+
+def source_copy(tmp: str, mutant: Optional[Mutant] = None) -> Path:
+    """src/ copied under tmp, with the mutant's edit applied when one is given."""
+    copy = Path(tmp) / "src"
+    shutil.copytree(SRC, copy, ignore=shutil.ignore_patterns("__pycache__", "*.egg-info"))
+    if mutant is not None:
+        target = copy / "ternaryperm" / mutant.file
+        target.write_text(target.read_text().replace(mutant.old, mutant.new))
+    return copy
+
+
+def table_errors() -> list[str]:
+    errors = []
+    for i, mutant in enumerate(MUTANTS):
+        found = (SRC / "ternaryperm" / mutant.file).read_text().count(mutant.old)
+        if found != 1:
+            errors.append(f"mutant {i}: its old text occurs {found} times in {mutant.file}")
+        if bool(mutant.tests) == bool(mutant.equivalent):
+            errors.append(f"mutant {i}: give either the tests that must fail or the reason it is equivalent")
+    return errors
+
+
+def main() -> int:
+    errors = table_errors()
+    for error in errors:
+        print(error)
+    if errors:
+        return 1
+    started = time.perf_counter()
+    named = tuple(dict.fromkeys(test for mutant in MUTANTS for test in mutant.tests))
+    with tempfile.TemporaryDirectory() as tmp:
+        baseline = pytest_run(source_copy(tmp), named)
+    if baseline.returncode != 0:
+        print("the named tests do not all pass on the unmutated source:")
+        print(baseline.stdout, baseline.stderr)
+        return 1
+    print(f"unmutated: {len(named)} named test ids pass ({time.perf_counter() - started:.1f} s)")
+    survived = 0
+    for i, mutant in enumerate(MUTANTS):
+        label = f"{i:2} {mutant.file}: {mutant.old.strip().splitlines()[0]}"
+        if mutant.equivalent:
+            print(f"equivalent  {label}  ({mutant.equivalent})")
+            continue
+        began = time.perf_counter()
+        with tempfile.TemporaryDirectory() as tmp:
+            result = pytest_run(source_copy(tmp, mutant), mutant.tests)
+        seconds = time.perf_counter() - began
+        if result.returncode == 1:
+            print(f"killed      {label}  ({seconds:.1f} s)")
+            continue
+        survived += 1
+        outcome = "SURVIVED" if result.returncode == 0 else f"UNDECIDED (pytest exit {result.returncode})"
+        print(f"{outcome}  {label}  ({seconds:.1f} s)")
+        print(result.stdout[-2000:], result.stderr[-2000:])
+    equivalent = sum(1 for mutant in MUTANTS if mutant.equivalent)
+    killed = len(MUTANTS) - equivalent - survived
+    print(
+        f"{len(MUTANTS)} mutants: {killed} killed, {equivalent} equivalent, {survived} not killed,"
+        f" in {time.perf_counter() - started:.1f} s"
+    )
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

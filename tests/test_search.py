@@ -537,7 +537,7 @@ class TestDefaultBudget:
         search(config)
         assert budgets == [1000]
 
-    def test_which_searches_get_it(self, budgets):
+    def test_no_search_below_n6_gets_one(self, budgets):
         # none: every search below n = 6 walks with no budget, in every mode
         for dim in range(2, MAX_SEARCH_DIM):
             for mode in SearchMode:
@@ -545,7 +545,7 @@ class TestDefaultBudget:
                     run(dim, mode, reduce)
         assert budgets == [None] * 16
 
-    def test_a_given_budget_replaces_it(self, budgets):
+    def test_a_given_budget_is_passed_on(self, budgets):
         run(5, SearchMode.FIRST, budget=7)
         assert budgets == [7]
 
@@ -687,6 +687,16 @@ class TestRandomizedDiscovery:
         assert err.value.nodes_explored == 20
         assert err.value.limit == "all 1 attempts"
 
+    def test_a_dead_slot_before_the_last_drawn_one_ends_the_draw(self, monkeypatch):
+        # With seed 234 at dimension 6 no word is assignable at the 19th of
+        # the 21 drawn slots: the draw stops there, and the walk below the 18
+        # drawn ones tries the 24 free words there, each colliding.
+        module = importlib.import_module("ternaryperm.search")
+        monkeypatch.setattr(module, "_ATTEMPTS", 1)
+        with pytest.raises(BudgetExhaustedError) as err:
+            search_randomized(6, seed=234)
+        assert err.value.nodes_explored == 24
+
     @pytest.mark.parametrize("dim", [5, 6])
     def test_every_seed_finds_the_ascending_answer_below_its_prefix(self, dim):
         # The slots above the last _TAIL come from the attempt that found
@@ -719,6 +729,18 @@ class TestRandomizedDiscovery:
             largest = max(largest, len(walks) - 1)
         with capsys.disabled():
             print(f"\nn = {dim}, seeds 0-{seeds - 1}: largest attempt index {largest} of {module._ATTEMPTS - 1}")
+
+    def test_a_negative_seed_is_refused(self):
+        # random.Random(-s) seeds as Random(s): seed -8 redrew the prefixes of
+        # earlier attempts and took 95,538 nodes where seed 0 takes 51,630
+        with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
+            search_randomized(5, seed=-1)
+
+    @pytest.mark.parametrize("seed,kind", [(True, "bool"), (2.5, "float"), ("a", "str")])
+    def test_a_seed_that_is_not_an_int_is_refused(self, seed, kind):
+        # True ran as seed 1, 2.5 ran, and "a" failed inside the seed arithmetic
+        with pytest.raises(TypeError, match=f"^seed must be an int, got {kind}$"):
+            search_randomized(5, seed=seed)
 
     def test_dimension_is_checked_by_search_config(self):
         for dim in (1, MAX_SEARCH_DIM + 1):

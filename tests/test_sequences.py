@@ -1,4 +1,6 @@
 import copy
+import importlib
+import io
 import pickle
 import struct
 from dataclasses import FrozenInstanceError
@@ -6,10 +8,14 @@ from dataclasses import FrozenInstanceError
 import pytest
 from hypothesis import given, strategies as st
 
-from ternaryperm import sequences
-from ternaryperm.catalog import generate
-from ternaryperm.sequences import TernarySequence, VerificationReport, verify
+from ternaryperm import lifting, sequences
+from ternaryperm.catalog import BaseCaseStore, generate, save
+from ternaryperm.lifting import lift
+from ternaryperm.search import SearchConfig, SearchMode, search
+from ternaryperm.sequences import TernarySequence, VerificationFailure, VerificationReport, verify
 from ternaryperm.words import Word
+
+from conftest import BASE5_DECIMALS
 
 
 def seq(dim, values):
@@ -85,6 +91,13 @@ class TestSequenceType:
             TernarySequence.from_decimals(True, ())
         with pytest.raises(TypeError, match="dim must be an int, got bool"):
             TernarySequence(True, [])
+
+    def test_rejects_words_that_are_not_words(self):
+        # an int used to fail with AttributeError: 'int' object has no attribute 'bits'
+        with pytest.raises(TypeError, match="^word at position 1 must be a Word, got int$"):
+            TernarySequence(2, [1, 2, 3])
+        with pytest.raises(TypeError, match="^word at position 2 must be a Word, got int$"):
+            TernarySequence(2, [Word(1, 2), 2, Word(3, 2)])
 
     def test_both_constructors_agree(self):
         from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])
@@ -164,6 +177,49 @@ class TestKeptReport:
         assert len(checks) == 3  # s, then each clone: a copy carries no report
 
 
+class TestVerifyAndRaise:
+    """The five places that verify a sequence and raise on a failure: the error type and the whole message."""
+
+    @pytest.mark.parametrize("site", ["lift input", "lift output", "search", "save", "fixture"])
+    def test_each_site_raises_its_message(self, site, monkeypatch, tmp_path):
+        bad = seq(3, range(1, 8))
+        found = "triple-sum at i=4: v3 XOR v4 XOR v5 = 2, expected 0"
+        # the two tripwires fire only on a regression, so their verify is patched
+        failed = VerificationReport(VerificationFailure("triple-sum", 2, "patched"))
+        patched = "triple-sum at i=2: patched"
+        fixture = tmp_path / "5.txt"
+        if site == "fixture":
+            fixture.write_text("n=5\n" + " ".join(str(v) for v in range(1, 32)) + "\n")  # fails as bad does
+        if site == "lift output":
+            monkeypatch.setattr(lifting, "verify", lambda s: verify(s) if s.dim == 5 else failed)
+        if site == "search":
+            # the package re-exports the function search over the submodule's name
+            monkeypatch.setattr(importlib.import_module("ternaryperm.search"), "verify", lambda s: failed)
+        call, error, message = {
+            "lift input": (lambda: lift(bad), ValueError, f"input is not a ternary permutation: {found}"),
+            "lift output": (
+                lambda: lift(seq(5, BASE5_DECIMALS)),
+                RuntimeError,
+                f"lifted sequence failed verification: {patched}",
+            ),
+            "search": (
+                lambda: search(SearchConfig(2, SearchMode.FIRST)),
+                RuntimeError,
+                f"search returned an invalid sequence: {patched}",
+            ),
+            "save": (lambda: save(bad, io.StringIO()), ValueError, f"refusing to save an invalid sequence: {found}"),
+            "fixture": (
+                lambda: BaseCaseStore(tmp_path).get(5),
+                ValueError,
+                f"fixture {fixture} is not a ternary permutation: {found}",
+            ),
+        }[site]
+        with pytest.raises(error) as err:
+            call()
+        assert type(err.value) is error
+        assert str(err.value) == message
+
+
 class TestVerify:
     def test_valid_dim_2(self):
         assert verify(seq(2, (1, 3, 2))).valid
@@ -228,6 +284,11 @@ class TestVerify:
         assert repr(VerificationReport()) == "VerificationReport(failure=None)"
         with pytest.raises(FrozenInstanceError):
             VerificationReport().valid = False
+
+    def test_refuses_what_is_not_a_sequence(self):
+        # a tuple used to fail with AttributeError naming the private _report
+        with pytest.raises(TypeError, match="^seq must be a TernarySequence, got tuple$"):
+            verify((1, 2, 3))
 
     def test_failure_message_uses_1_based_positions(self):
         report = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))
