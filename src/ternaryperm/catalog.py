@@ -145,7 +145,8 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     decimal: every value on one whitespace-separated line, in order.
     binary: one 0/1 string of length dim per line, most significant first.
     """
-    _check_format(fmt)
+    if fmt not in FORMATS:
+        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
     if fmt == "binary":
         return _format_binary(seq)
     values = seq.decimals
@@ -153,11 +154,6 @@ def format_sequence(seq: TernarySequence, fmt: str = "decimal") -> str:
     # the time of " ".join(map(str, values))
     body = ("%d " * (len(values) - 1) + "%d") % values if values else ""
     return f"n={seq.dim}\n{body}\n"
-
-
-def _check_format(fmt: str) -> None:
-    if fmt not in FORMATS:
-        raise ValueError(f"unknown format {fmt!r}; expected one of {FORMATS}")
 
 
 def _format_binary(seq: TernarySequence) -> str:
@@ -254,22 +250,22 @@ def _check_value(value: int, expected: int, line: int) -> None:
         raise ParseError(line, f"value {value} out of range [1, {expected}]")
 
 
-def parse_sequence_text(text: str, fmt: Optional[str] = None) -> tuple[TernarySequence, str]:
-    """Parse either text format; returns (sequence, format used).
+def parse_sequence_text(text: str) -> tuple[TernarySequence, str]:
+    """Parse either text format; returns (sequence, format read).
 
-    The header line is read first, then the format is decided: fmt, or
-    with fmt=None the detected one (a body whose first nonempty line is a
-    single dim-length 0/1 string reads as binary, anything else as
-    decimal).  Only the body is read after that: whole when it is well
-    formed (see _read_body), line by line otherwise, which names the
-    offending line.  Structural problems raise ParseError; being
-    non-ternary is not structural and is left to verify().
+    The header line is read first, then the format is detected: a body
+    whose first nonblank line is one dim-length 0/1 string is binary,
+    any other decimal (exact on what format_sequence writes: its decimal
+    values share one line and have fewer than dim digits).  Only the
+    body is read after that: whole when it is well formed (see
+    _read_body), line by line otherwise, which names the offending line.
+    Structural problems raise ParseError; being non-ternary is not
+    structural and is left to verify().
     """
+    if not isinstance(text, str):
+        raise TypeError(f"text must be a str, got {type(text).__name__}")
     dim, body = _parse_header(text)
-    if fmt is None:
-        fmt = "binary" if _is_binary_word(_first_line(body), dim) else "decimal"
-    else:
-        _check_format(fmt)
+    fmt = "binary" if _is_binary_word(_first_line(body), dim) else "decimal"
     values = _read_body(body.encode(), dim, fmt) if body.isascii() else None
     if values is None:
         values = _scan_lines(body, dim, fmt)
@@ -355,8 +351,8 @@ class LoadResult(_Frozen):
 Source = Union[str, Path, IO[str]]
 
 
-def load(source: Source, fmt: Optional[str] = None) -> LoadResult:
-    """Parse a sequence file and re-verify it.
+def load(source: Source) -> LoadResult:
+    """Parse a sequence file, in the format it is detected to be, and re-verify it.
 
     A well-formed file that is not actually ternary still loads; the
     failure lands in the result's report so bad files can be inspected.
@@ -364,8 +360,8 @@ def load(source: Source, fmt: Optional[str] = None) -> LoadResult:
     for its line.
     """
     text = source.read() if hasattr(source, "read") else _read_utf8(source)
-    sequence, used_fmt = parse_sequence_text(text, fmt)
-    return LoadResult(sequence, used_fmt, verify(sequence))
+    sequence, fmt = parse_sequence_text(text)
+    return LoadResult(sequence, fmt, verify(sequence))
 
 
 def _read_utf8(path: Union[str, Path]) -> str:

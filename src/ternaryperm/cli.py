@@ -65,8 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
     gen.add_argument("--out", type=Path, help="write to a file instead of standard output")
 
     ver = sub.add_parser("verify", help="check a sequence file against the defining conditions")
-    ver.add_argument("path", type=Path)
-    ver.add_argument("--format", choices=("auto", *FORMATS), default="auto")
+    ver.add_argument("path", type=Path, help="a sequence file in either format; the file says which")
 
     sea = sub.add_parser("search", help="backtracking search over candidate sequences")
     sea.add_argument(
@@ -78,8 +77,7 @@ def build_parser() -> argparse.ArgumentParser:
     sea.add_argument("--mode", choices=[m.value for m in SearchMode], default=SearchMode.FIRST.value)
     sea.add_argument(
         "--reduce",
-        action=argparse.BooleanOptionalAction,
-        default=False,
+        action="store_true",
         help="pin the first two entries to (1, 2); fixes the node totals, no longer saves time",
     )
     sea.add_argument("--budget", type=int, help="node budget; exhaustion is an error")
@@ -89,7 +87,12 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKERS",
         help="use at most WORKERS processes; only a count without --budget is split",
     )
-    sea.add_argument("--format", choices=FORMATS, default="decimal")
+    sea.add_argument(
+        "--format",
+        choices=FORMATS,
+        default="decimal",
+        help="the format of the sequence found in first mode; a count prints one decimal line",
+    )
     sea.add_argument("--out", type=Path)
 
     pro = sub.add_parser("prove", help="exhaustive nonexistence certificate for n = 3 or 4")
@@ -115,8 +118,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    fmt = None if args.format == "auto" else args.format
-    result = load(args.path, fmt)
+    result = load(args.path)
     if result.report.valid:
         print("valid")
         return EXIT_OK

@@ -49,6 +49,9 @@ class Mutant(NamedTuple):
 
 PREFIX = "test_search.py::TestPrefixChecks::"
 RANDOMIZED = "test_search.py::TestRandomizedDiscovery::"
+ORBIT = "test_search.py::TestOrbitScaling::"
+RECORD_BINDING = "test_package.py::test_a_record_refuses_a_call_that_does_not_bind_each_field_once[VerificationFailure]"
+FORMAT_RULE = "test_cli.py::TestVerify::test_the_file_states_its_format"
 
 MUTANTS = [
     # _apply_prefix's checks (TestPrefixChecks)
@@ -104,7 +107,31 @@ MUTANTS = [
         "search.py",
         "size + 1 - lim))",
         "size - lim))",
-        ("test_search.py::TestOrbitScaling::test_scaled_matches_unscaled_and_the_reference",),
+        (ORBIT + "test_scaled_matches_unscaled_and_the_reference",),
+    ),
+    Mutant(  # a word that doubles the span never stops the scaled walk
+        "search.py",
+        "lim = 2 * lim if w == lim else 0",
+        "lim = 2 * lim",
+        ("test_search.py::TestKernelOracle::test_random_valid_prefixes",),
+    ),
+    Mutant(  # every prefix walks plain
+        "search.py",
+        "lim = 2 * lim if w == lim else 0",
+        "lim = 0",
+        (ORBIT + "test_the_frontier",),
+    ),
+    Mutant(  # a frontier entry's nodes credited once
+        "search.py",
+        "nodes += copies * sub_nodes",
+        "nodes += sub_nodes",
+        (ORBIT + "test_a_count_is_the_one_walk_total[False-4]",),
+    ),
+    Mutant(  # a frontier entry's count credited once
+        "search.py",
+        "count += copies * sub_count",
+        "count += sub_count",
+        ("test_search.py::TestParallel::test_each_frontier_entry_is_credited_by_its_factor",),
     ),
     Mutant(
         "search.py",
@@ -146,6 +173,35 @@ MUTANTS = [
         "    def __reduce__(self):\n        return self._trusted, (self.dim, self.decimals)\n",
         "",
         ("test_sequences.py::TestKeptReport::test_equality_hash_and_pickling_ignore_it",),
+    ),
+    # how _Frozen binds a record's fields
+    Mutant("words.py", "                if name not in fields:\n", "                if False:\n", (RECORD_BINDING,)),
+    Mutant("words.py", "                if name in values:\n", "                if False:\n", (RECORD_BINDING,)),
+    Mutant(  # keyword arguments bound out of field order
+        "words.py",
+        "            values = {name: values[name] for name in fields}\n",
+        "",
+        ("test_package.py::test_every_call_style_builds_the_same_value[ImpossibilityCertificate]",),
+    ),
+    # the file formats and the search options
+    Mutant(
+        "catalog.py",
+        "    if not isinstance(text, str):\n"
+        '        raise TypeError(f"text must be a str, got {type(text).__name__}")\n',
+        "",
+        ("test_catalog.py::TestParseErrors::test_text_must_be_a_str",),
+    ),
+    Mutant(  # a 0/1 string of any length reads as a binary word
+        "catalog.py",
+        "return len(text) == dim and set(text)",
+        "return set(text)",
+        (FORMAT_RULE,),
+    ),
+    Mutant(  # --reduce with its --no-reduce twin
+        "cli.py",
+        '        action="store_true",\n',
+        "        action=argparse.BooleanOptionalAction,\n        default=False,\n",
+        (FORMAT_RULE,),
     ),
 ]
 

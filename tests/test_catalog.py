@@ -185,11 +185,6 @@ class TestFormats:
         result = load(io.StringIO(buffer.getvalue()))
         assert result.sequence == seq
 
-    def test_explicit_format_overrides_detection(self):
-        text = format_sequence(generate(2), "binary")
-        result = load(io.StringIO(text), "binary")
-        assert result.format == "binary"
-
     def test_save_replaces_a_file_in_one_step(self, tmp_path):
         target = tmp_path / "seq.txt"
         target.write_text("old\n")
@@ -282,9 +277,9 @@ class TestLoadMetadata:
 
 
 class TestParseErrors:
-    def assert_parse_error(self, text, fragment, line=None, fmt=None):
+    def assert_parse_error(self, text, fragment, line=None):
         with pytest.raises(ParseError) as err:
-            parse_sequence_text(text, fmt)
+            parse_sequence_text(text)
         assert fragment in str(err.value)
         assert "line" in str(err.value)
         if line is not None:
@@ -327,7 +322,7 @@ class TestParseErrors:
 
     def test_header_past_int_digit_limit(self):
         text = "n=" + "9" * 5000 + "\n1 2 3\n"
-        assert whole_body(text, None) is None
+        assert whole_body(text) is None
         self.assert_parse_error(text, "at most 30, got a 5000-digit number", line=1)
 
     def test_leading_zeros_do_not_count_toward_the_digit_limit(self):
@@ -338,7 +333,7 @@ class TestParseErrors:
         self.assert_parse_error("", "empty file", line=1)
 
     def test_binary_wrong_line_length(self):
-        self.assert_parse_error("n=3\n001\n01\n", "0/1 string", line=3, fmt="binary")
+        self.assert_parse_error("n=3\n001\n01\n", "0/1 string", line=3)
 
     def test_truncated_binary(self):
         self.assert_parse_error("n=2\n01\n10\n", "expected 3 values, got 2")
@@ -360,7 +355,13 @@ class TestParseErrors:
         self.assert_parse_error("n=2\x0c1 2 3\n", "malformed header", line=1)
 
     def test_binary_words_on_one_line_are_not_separate_lines(self):
-        self.assert_parse_error("n=2\n01\x0c10\n11\n", "0/1 string", line=2, fmt="binary")
+        # after a binary first line, so the body reads as binary
+        self.assert_parse_error("n=2\n01\n10\x0c11\n", "0/1 string", line=3)
+
+    def test_text_must_be_a_str(self):
+        for call in (lambda: parse_sequence_text(b"n=2\n1 2 3\n"), lambda: load(io.BytesIO(b"n=2\n1 2 3\n"))):
+            with pytest.raises(TypeError, match=r"^text must be a str, got bytes$"):
+                call()
 
 
 def binary_reference(dim, values):
@@ -376,27 +377,44 @@ def outcome(parse, text, fmt):
         return type(exc), str(exc), getattr(exc, "line", None)
 
 
+def read(text, fmt=None):
+    """parse_sequence_text(text), or with fmt the body read as fmt.
+
+    parse_sequence_text reads the body in the format it detects.  A given
+    fmt calls the two body readers as it does once it has detected fmt,
+    so that the whole-body read and the line scan of each format are also
+    compared on bodies that detection hands to the other format.
+    """
+    if fmt is None:
+        return parse_sequence_text(text)
+    dim, body = catalog._parse_header(text)
+    values = catalog._read_body(body.encode(), dim, fmt) if body.isascii() else None
+    if values is None:
+        values = catalog._scan_lines(body, dim, fmt)
+    return TernarySequence._trusted(dim, values), fmt
+
+
 class LineScanStarted(Exception):
     """Raised in place of the line scan, to see whether a parse needed it."""
 
 
-def whole_body(text, fmt):
-    """What parse_sequence_text returns by the whole-body read alone.
+def whole_body(text, fmt=None):
+    """What read returns by the whole-body read alone.
 
     None when the body would go to the line scan, or when the header line
     already fails and no body is read.
     """
     with mock.patch.object(catalog, "_scan_lines", side_effect=LineScanStarted):
         try:
-            return parse_sequence_text(text, fmt)
+            return read(text, fmt)
         except (LineScanStarted, ParseError):
             return None
 
 
-def line_scan(text, fmt):
-    """parse_sequence_text with every body read by the line scan."""
+def line_scan(text, fmt=None):
+    """read with every body read by the line scan."""
     with mock.patch.object(catalog, "_read_body", return_value=None):
-        return parse_sequence_text(text, fmt)
+        return read(text, fmt)
 
 
 def well_formed(dim, fmt, seed):
@@ -429,6 +447,7 @@ BINARY_VARIANTS = {
     "extra-line": lambda lines: "\n".join(lines + [lines[1]]) + "\n",
 }
 
+#: The format argument of read: None for the detected format.
 FORMAT_ARGS = st.sampled_from((None, "decimal", "binary"))
 
 
@@ -437,33 +456,32 @@ class TestBulkParse:
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_takes_the_bulk_path_on_written_files(self, n, fmt):
         text = format_sequence(generate(n), fmt)
-        assert whole_body(text, None) == (generate(n), fmt)
-        assert whole_body(text, fmt) == (generate(n), fmt)
+        assert whole_body(text) == (generate(n), fmt)
 
     @pytest.mark.parametrize("header", (" n=5 \n", "n=5\r\n", "\tn=05\x0c\n"))
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_takes_the_bulk_path_under_a_padded_header(self, header, fmt):
         plain = format_sequence(generate(5), fmt)
         padded = header + plain.partition("\n")[2]
-        assert whole_body(padded, None) == whole_body(padded, fmt) == parse_sequence_text(plain)
+        assert whole_body(padded) == parse_sequence_text(plain)
 
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_takes_the_bulk_path_across_byte_lanes(self, fmt):
         text = format_sequence(generate(17), fmt)
-        assert whole_body(text, None) == (generate(17), fmt)
+        assert whole_body(text) == (generate(17), fmt)
 
     def test_binary_columns_reach_every_byte_lane(self):
         values = ((1 << 30) - 1, 1 << 29, (1 << 29) | 0x00F0F0F, 1, 0x2AAAAAAA, 0)
         body = binary_reference(30, values).partition("\n")[2].encode()
         assert catalog._read_binary_columns(body, 30, len(values)) == values
 
-    @pytest.mark.parametrize("fmt", (None, "decimal", "binary"))
+    @pytest.mark.parametrize("fmt", (None, "decimal", "binary"))  # read's format argument
     @pytest.mark.parametrize("variant", BINARY_VARIANTS)
     def test_binary_layouts_agree_with_line_scan(self, variant, fmt):
         lines = format_sequence(generate(5), "binary").splitlines()
         text = BINARY_VARIANTS[variant](lines)
         expected = outcome(line_scan, text, fmt)
-        assert outcome(parse_sequence_text, text, fmt) == expected
+        assert outcome(read, text, fmt) == expected
         bulk = whole_body(text, fmt)
         assert bulk is None or bulk == expected
         if variant == "canonical" and fmt != "decimal":
@@ -497,7 +515,7 @@ class TestBulkParse:
     )
     def test_agrees_with_line_scan_on_well_formed_files(self, dim, fmt, seed, parse_fmt):
         text = well_formed(dim, fmt, seed)
-        assert outcome(parse_sequence_text, text, parse_fmt) == outcome(line_scan, text, parse_fmt)
+        assert outcome(read, text, parse_fmt) == outcome(line_scan, text, parse_fmt)
         bulk = whole_body(text, parse_fmt)
         assert bulk is not None or parse_fmt not in (None, fmt)
         if bulk is not None:
@@ -525,19 +543,20 @@ class TestBulkParse:
         bulk = whole_body(text, parse_fmt)
         lines = outcome(line_scan, text, parse_fmt)
         assert bulk is None or bulk == lines
-        assert outcome(parse_sequence_text, text, parse_fmt) == lines
+        assert outcome(read, text, parse_fmt) == lines
 
     def test_header_dimension_sizes_nothing_before_the_body_length_is_checked(self):
         text = well_formed(3, "binary", 0)
         text = text[:3] + "0" + text[3:]  # n=30: a body of 2**30 - 1 lines is expected
+        text = text.replace("\n", "\n" + "0" * 27, 1)  # a 30-character first line: the body reads as binary
         tracemalloc.start()
         try:
             with pytest.raises(ParseError) as err:
-                parse_sequence_text(text, "binary")
+                parse_sequence_text(text)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert err.value.line == 2
+        assert err.value.line == 3
         assert peak < 1 << 20
 
 

@@ -14,6 +14,7 @@ from ternaryperm.cli import (
     EXIT_PARSE_ERROR,
     main,
 )
+from ternaryperm.words import MAX_DIM
 
 
 def run(capsys, *argv):
@@ -194,12 +195,30 @@ class TestVerify:
         assert code == EXIT_FAILURE
         assert err != ""
 
-    def test_explicit_format(self, capsys, tmp_path):
-        path = tmp_path / "binary.txt"
+    def test_the_file_states_its_format(self, capsys, tmp_path):
+        # a decimal value as written never has n characters, so no decimal
+        # file gen writes has a first line that reads as one binary word
+        assert all(len(str((1 << n) - 1)) < n for n in range(2, MAX_DIM + 1))
+        # a zero-padded first decimal value reads as binary, and a short
+        # first binary word as decimal: both files are parse errors
+        for text, message in (
+            ("n=3\n001\n2\n3 4 5 6 7\n", "line 3: expected one 3-character 0/1 string per line, got '2'"),
+            ("n=3\n01\n010\n011\n100\n101\n110\n111\n", "line 3: 2-digit value out of range [1, 7]"),
+        ):
+            path = tmp_path / "seq.txt"
+            path.write_text(text)
+            assert run(capsys, "verify", str(path)) == (EXIT_PARSE_ERROR, "", f"error: {message}\n")
+        # the arguments that chose a format, or turned --reduce off, are gone
         run(capsys, "gen", "--dim", "5", "--format", "binary", "--out", str(path))
-        code, out, _ = run(capsys, "verify", str(path), "--format", "binary")
-        assert code == EXIT_OK
-        assert out == "valid\n"
+        assert run(capsys, "verify", str(path)) == (EXIT_OK, "valid\n", "")
+        with pytest.raises(TypeError):
+            catalog.load(path, "binary")
+        with pytest.raises(TypeError):
+            catalog.parse_sequence_text(path.read_text(), "binary")
+        for argv in (["verify", str(path), "--format", "binary"], ["search", "--dim", "2", "--no-reduce"]):
+            with pytest.raises(SystemExit) as err:
+                main(argv)
+            assert err.value.code == EXIT_INVALID_INPUT
 
 
 class TestSearch:

@@ -613,6 +613,31 @@ class TestParallel:
             nodes += copies * sub_nodes
         assert (count, nodes) == (54656, 48145634)  # the slow test's unscaled walk
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize("reduce", [False, True])
+    def test_each_frontier_entry_is_credited_by_its_factor(self, monkeypatch, reduce, workers):
+        # below n = 5 each frontier entry counts 0 solutions (n = 2 has no
+        # frontier), so no count there shows a factor left out: this takes
+        # the n = 5 frontier, with a distinct count and node total per entry
+        frontier = []
+        _, _, above = _explore(5, SearchMode.COUNT, (1, 2) if reduce else (), frontier=frontier)
+        prefixes, factors = zip(*frontier)
+        assert (len(frontier), sum(factors), above) == (
+            (25, 268800, 334068) if reduce else (25, 249984000, 310684201)
+        )
+        walks = [(None, i + 1, 1000 + 7 * i) for i in range(len(prefixes))]
+        calls = []
+
+        def walked(*args):
+            calls.append(args)
+            return walks
+
+        monkeypatch.setattr(importlib.import_module("ternaryperm.search"), "_walk_subtrees", walked)
+        outcome = search_parallel(SearchConfig(5, SearchMode.COUNT, reduce), workers)
+        assert calls == [(5, SearchMode.COUNT, prefixes, workers)]
+        assert outcome.count == sum(f * c for f, (_, c, _) in zip(factors, walks))
+        assert outcome.nodes_explored == above + sum(f * n for f, (_, _, n) in zip(factors, walks))
+
     def test_a_bool_worker_count_is_rejected(self):
         # True ran the search with one worker
         config = SearchConfig(dim=3, mode=SearchMode.COUNT)
