@@ -87,13 +87,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="WORKERS",
         help="use at most WORKERS processes; only a count without --budget is split",
     )
-    sea.add_argument(
-        "--format",
-        choices=FORMATS,
-        default="decimal",
-        help="the format of the sequence found in first mode; a count prints one decimal line",
-    )
-    sea.add_argument("--out", type=Path)
 
     pro = sub.add_parser("prove", help="exhaustive nonexistence certificate for n = 3 or 4")
     pro.add_argument("--dim", type=int, required=True, choices=(3, 4))
@@ -104,16 +97,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[Path]) -> None:
-    if out is None:
+def _cmd_gen(args: argparse.Namespace) -> int:
+    text = format_sequence(generate(args.dim), args.format)
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        write_text_atomic(out, text)
-
-
-def _cmd_gen(args: argparse.Namespace) -> int:
-    seq = generate(args.dim)
-    _emit(format_sequence(seq, args.format), args.out)
+        write_text_atomic(args.out, text)
     return EXIT_OK
 
 
@@ -139,9 +128,9 @@ def _cmd_search(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return EXIT_NONEXISTENT
-        _emit(format_sequence(outcome.sequence, args.format), args.out)
+        sys.stdout.write(format_sequence(outcome.sequence))
     else:
-        _emit(f"{outcome.count}\n", args.out)
+        print(outcome.count)
     return EXIT_OK
 
 

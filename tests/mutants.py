@@ -4,13 +4,15 @@ Each entry edits one source file: its old text, which must occur exactly
 once in that file, becomes its new text.  The runner copies src/ to a
 temporary directory, applies one edit there and runs
 
-    python -m pytest -x -q -p no:cacheprovider <the entry's test ids>
+    python -m pytest -x -q -p no:cacheprovider -m "" <the entry's test ids>
 
 from the repository root with the copy first on PYTHONPATH, so the tests
-import the mutant.  A mutant is killed when pytest reports a failed test
-(exit code 1).  An entry marked equivalent cannot change what any test
-can observe; the runner only checks that its old text applies.  Before the
-mutants, the named tests must pass on an unmutated copy.
+import the mutant.  The empty -m overrides the one in pyproject's
+addopts, so an entry may name a slow test.  A mutant is killed when
+pytest reports a failed test (exit code 1).  An entry marked equivalent
+cannot change what any test can observe; the runner only checks that its
+old text applies.  Before the mutants, the named tests must pass on an
+unmutated copy.
 
 Run from anywhere, with the interpreter flags the tests should run under
 (they are passed on to each pytest run):
@@ -133,6 +135,12 @@ MUTANTS = [
         "count += sub_count",
         ("test_search.py::TestParallel::test_each_frontier_entry_is_credited_by_its_factor",),
     ),
+    Mutant(  # an in-walk credit multiplies the solutions counted before it too
+        "search.py",
+        "count = saved_count + copies * (count - saved_count)",
+        "count = saved_count + copies * count",
+        (ORBIT + "test_a_budgeted_count_credits_the_solutions_it_walked",),
+    ),
     Mutant(
         "search.py",
         "            if d + 1 == pen:  # four words left there\n",
@@ -212,7 +220,7 @@ def interpreter_flags() -> list[str]:
 
 
 def pytest_run(copy: Path, tests: tuple[str, ...]) -> subprocess.CompletedProcess:
-    command = [sys.executable, *interpreter_flags(), "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider"]
+    command = [sys.executable, *interpreter_flags(), "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", "-m", ""]
     command += [f"tests/{test}" for test in tests]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (str(copy), os.environ.get("PYTHONPATH"))))}
     try:

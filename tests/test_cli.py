@@ -232,6 +232,26 @@ class TestSearch:
         assert code == EXIT_OK
         assert out == "n=2\n1 2 3\n"
 
+    @pytest.mark.parametrize("option", ["--format", "--out"])
+    def test_the_output_options_are_gone(self, capsys, tmp_path, option):
+        # a search prints its answer; gen --format/--out writes the same bytes
+        target = tmp_path / "answer.txt"
+        value = "decimal" if option == "--format" else str(target)
+        with pytest.raises(SystemExit) as err:
+            main(["search", "--dim", "2", option, value])
+        assert err.value.code == EXIT_INVALID_INPUT
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not target.exists()
+
+    @pytest.mark.parametrize("reduce", [(), ("--reduce",)])
+    @pytest.mark.parametrize("dim", [2, 5])
+    def test_a_first_search_prints_what_gen_prints(self, capsys, dim, reduce):
+        # n = 2 and 5 are the dimensions where a first search without a budget
+        # finds a sequence
+        expected = run(capsys, "gen", "--dim", str(dim))
+        assert expected[0] == EXIT_OK
+        assert run(capsys, "search", "--dim", str(dim), "--mode", "first", *reduce) == expected
+
     def test_prove_none_dim3(self, capsys):
         # the retired mode is an invalid choice; a first search answers the question
         with pytest.raises(SystemExit) as err:

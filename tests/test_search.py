@@ -494,6 +494,16 @@ class TestOrbitScaling:
         assert (outcome.count, outcome.nodes_explored) == (1322582016, 822878741748)
         assert outcome.count * 31 * 30 == 123008 * GL5
 
+    @pytest.mark.slow
+    def test_a_budgeted_count_credits_the_solutions_it_walked(self):
+        # A budget makes the count one kernel call with no frontier. The walk
+        # then credits 16's subtree at slot 4 after the (1, 2, 4, 8, 5/6/9/10)
+        # subtrees, whose solutions it has already counted. Unbudgeted, the
+        # count stops at its frontier, above every solution, so each credit
+        # there multiplies zero.
+        outcome = search(SearchConfig(5, SearchMode.COUNT, True, node_budget=10**12))
+        assert (outcome.count, outcome.nodes_explored) == (1322582016, 822878741748)
+
 
 class TestBudget:
     def test_exhaustion_raises(self):
