@@ -9,7 +9,7 @@ with a dedicated error.
 from __future__ import annotations
 
 __all__ = [
-    "BASE_DIMS", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
+    "BASE_DIMS", "BaseCaseStore", "NonexistentDimensionError",
     "ParseError", "construction_route", "default_store", "exists", "format_sequence", "generate",
     "load", "parse_sequence_text", "save",
 ]
@@ -18,12 +18,12 @@ import os
 import stat
 import threading
 from pathlib import Path
-from typing import IO, Optional, Union
+from typing import Optional, Union
 
 from .lifting import lift
 from .search import SearchConfig, search, search_randomized
-from .sequences import TernarySequence, VerificationReport, _require, le_bytes, le_values, verify
-from .words import MAX_DIM, _check_int, _Frozen
+from .sequences import TernarySequence, _require, le_bytes, le_values, verify
+from .words import MAX_DIM, _check_int
 
 BASE_DIMS = (2, 5, 6)
 FORMATS = ("decimal", "binary")
@@ -340,28 +340,19 @@ def _scan_lines(body: str, dim: int, fmt: str) -> tuple[int, ...]:
     return tuple(values)
 
 
-class LoadResult(_Frozen):
-    """A parsed sequence plus what load() learned about it."""
+def load(source: Union[str, Path]) -> tuple[TernarySequence, str]:
+    """Read a sequence file, in the format it is detected to be, and re-verify it.
 
-    sequence: TernarySequence
-    format: str
-    report: VerificationReport
-
-
-Source = Union[str, Path, IO[str]]
-
-
-def load(source: Source) -> LoadResult:
-    """Parse a sequence file, in the format it is detected to be, and re-verify it.
-
-    A well-formed file that is not actually ternary still loads; the
-    failure lands in the result's report so bad files can be inspected.
-    A path is read as UTF-8; a byte that does not decode is a ParseError
-    for its line.
+    Returns what parse_sequence_text() returns for the file's text:
+    (sequence, format read).  The sequence is checked before it is
+    returned, so verify(sequence) is then a lookup of the kept report.  A
+    well-formed file that is not actually ternary still loads, so bad
+    files can be inspected.  The path is read as UTF-8; a byte that does
+    not decode is a ParseError for its line.
     """
-    text = source.read() if hasattr(source, "read") else _read_utf8(source)
-    sequence, fmt = parse_sequence_text(text)
-    return LoadResult(sequence, fmt, verify(sequence))
+    sequence, fmt = parse_sequence_text(_read_utf8(source))
+    verify(sequence)
+    return sequence, fmt
 
 
 def _read_utf8(path: Union[str, Path]) -> str:
@@ -374,14 +365,10 @@ def _read_utf8(path: Union[str, Path]) -> str:
         raise ParseError(line, f"byte {data[exc.start]:#04x} is not UTF-8 text") from None
 
 
-def save(seq: TernarySequence, destination: Source, fmt: str = "decimal") -> None:
-    """Write a sequence in the given format; refuses unverified input."""
+def save(seq: TernarySequence, destination: Union[str, Path], fmt: str = "decimal") -> None:
+    """Write a sequence to a path in the given format; refuses unverified input."""
     _require(verify(seq), ValueError, "refusing to save an invalid sequence")
-    text = format_sequence(seq, fmt)
-    if hasattr(destination, "write"):
-        destination.write(text)
-    else:
-        write_text_atomic(destination, text)
+    write_text_atomic(destination, format_sequence(seq, fmt))
 
 
 def write_text_atomic(path: Union[str, Path], text: str) -> None:
@@ -471,11 +458,10 @@ class BaseCaseStore:
             if dim == 6:
                 return search_randomized(dim, seed=0).sequence
             return search(SearchConfig(dim, symmetry_reduction=True)).sequence
-        result = load(path)
-        seq = result.sequence
+        seq = load(path)[0]
         if seq.dim != dim:
             raise ValueError(f"fixture {path} holds dimension {seq.dim}, expected {dim}")
-        _require(result.report, ValueError, f"fixture {path} is not a ternary permutation")
+        _require(verify(seq), ValueError, f"fixture {path} is not a ternary permutation")
         return seq
 
 

@@ -185,11 +185,30 @@ MUTANTS = [
     # how _Frozen binds a record's fields
     Mutant("words.py", "                if name not in fields:\n", "                if False:\n", (RECORD_BINDING,)),
     Mutant("words.py", "                if name in values:\n", "                if False:\n", (RECORD_BINDING,)),
+    Mutant(  # a short positional call binds no defaults and reports no missing field
+        "words.py",
+        "        if kwargs or len(args) < len(fields):",
+        "        if kwargs:",
+        (RECORD_BINDING,),
+    ),
+    Mutant(  # a bool passes for an int
+        "words.py",
+        "(type(value) is bool or not isinstance(value, int))",
+        "(not isinstance(value, int))",
+        ("test_catalog.py::TestBaseCaseStore::test_a_non_int_dim_is_refused_before_the_cache_and_any_search",),
+    ),
     Mutant(  # keyword arguments bound out of field order
         "words.py",
         "            values = {name: values[name] for name in fields}\n",
         "",
         ("test_package.py::test_every_call_style_builds_the_same_value[ImpossibilityCertificate]",),
+    ),
+    # the lift's placement
+    Mutant(  # C opens with source k, then k - 1, unswapped: the triple at the second splice breaks
+        "lifting.py",
+        "    if 1 <= block <= 2 and i >= k - 1:",
+        "    if block == 1 and i >= k - 1:",
+        ("test_lifting.py::TestPlacementProof::test_every_position_for_m_up_to_16",),
     ),
     # the file formats and the search options
     Mutant(

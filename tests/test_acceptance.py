@@ -142,10 +142,10 @@ def test_criterion_7_serialization(tmp_path):
             for fmt in ("decimal", "binary"):
                 path = tmp_path / f"{n}.{fmt}.txt"
                 save(seq, path, fmt)
-                result = load(path)
-                assert result.sequence == seq
-                assert result.format == fmt
-                assert result.report.valid
+                loaded, read = load(path)
+                assert loaded == seq
+                assert read == fmt
+                assert verify(loaded).valid
 
         with pytest.raises(ParseError, match="expected 31 values"):
             parse_sequence_text("n=5\n" + " ".join(str(v) for v in range(1, 31)) + "\n")

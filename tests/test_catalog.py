@@ -23,6 +23,7 @@ from ternaryperm.catalog import (
     parse_sequence_text,
     save,
 )
+from ternaryperm.cli import main
 from ternaryperm.lifting import lift
 from ternaryperm.search import search_randomized
 from ternaryperm.sequences import TernarySequence, verify
@@ -173,23 +174,16 @@ class TestFormats:
         seq = generate(n)
         path = tmp_path / f"{n}.{fmt}.txt"
         save(seq, path, fmt)
-        result = load(path)
-        assert result.sequence == seq
-        assert result.format == fmt
-        assert result.report.valid
-
-    def test_round_trip_through_file_objects(self):
-        seq = generate(5)
-        buffer = io.StringIO()
-        save(seq, buffer, "binary")
-        result = load(io.StringIO(buffer.getvalue()))
-        assert result.sequence == seq
+        loaded, read = load(path)
+        assert loaded == seq
+        assert read == fmt
+        assert verify(loaded).valid
 
     def test_save_replaces_a_file_in_one_step(self, tmp_path):
         target = tmp_path / "seq.txt"
         target.write_text("old\n")
         save(generate(5), target)
-        assert load(target).sequence == generate(5)
+        assert load(target)[0] == generate(5)
         assert list(tmp_path.iterdir()) == [target]
 
     def test_failed_save_leaves_the_old_file_and_no_temporary(self, tmp_path, writes_fail_midway):
@@ -264,16 +258,36 @@ class TestFormats:
 
 
 class TestLoadMetadata:
-    def test_well_formed_but_not_ternary_still_loads(self):
-        result = load(io.StringIO("n=3\n1 2 3 4 5 6 7\n"))
-        assert result.sequence.decimals == (1, 2, 3, 4, 5, 6, 7)
-        assert not result.report.valid
-        assert result.report.failure.kind == "triple-sum"
-        assert result.report.failure.index == 4
+    def test_well_formed_but_not_ternary_still_loads(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("n=3\n1 2 3 4 5 6 7\n")
+        seq, fmt = load(path)
+        assert seq.decimals == (1, 2, 3, 4, 5, 6, 7)
+        assert fmt == "decimal"
+        report = verify(seq)
+        assert not report.valid
+        assert report.failure.kind == "triple-sum"
+        assert report.failure.index == 4
 
-    def test_duplicates_are_verification_not_parse_failures(self):
-        result = load(io.StringIO("n=2\n1 1 2\n"))
-        assert result.report.failure.kind == "duplicate"
+    def test_duplicates_are_verification_not_parse_failures(self, tmp_path):
+        path = tmp_path / "seq.txt"
+        path.write_text("n=2\n1 1 2\n")
+        assert verify(load(path)[0]).failure.kind == "duplicate"
+
+    @pytest.mark.parametrize("fmt", ("decimal", "binary"))
+    def test_load_is_the_parse_of_the_file_text_checked(self, fmt, tmp_path, monkeypatch):
+        path = tmp_path / f"7.{fmt}.txt"
+        assert main(["gen", "--dim", "7", "--format", fmt, "--out", str(path)]) == 0
+        real = sequences._check
+        checked = []
+        monkeypatch.setattr(sequences, "_check", lambda s: checked.append(s) or real(s))
+        loaded = load(path)
+        assert type(loaded) is tuple
+        assert loaded == parse_sequence_text(path.read_text(encoding="utf-8"))
+        assert loaded[1] == fmt
+        assert len(checked) == 1 and checked[0] is loaded[0]  # load ran the check...
+        assert verify(loaded[0]).valid
+        assert len(checked) == 1  # ...so verify looks up its report
 
 
 class TestParseErrors:
@@ -359,9 +373,15 @@ class TestParseErrors:
         self.assert_parse_error("n=2\n01\n10\x0c11\n", "0/1 string", line=3)
 
     def test_text_must_be_a_str(self):
-        for call in (lambda: parse_sequence_text(b"n=2\n1 2 3\n"), lambda: load(io.BytesIO(b"n=2\n1 2 3\n"))):
-            with pytest.raises(TypeError, match=r"^text must be a str, got bytes$"):
-                call()
+        with pytest.raises(TypeError, match=r"^text must be a str, got bytes$"):
+            parse_sequence_text(b"n=2\n1 2 3\n")
+        # load and save take a path; a file object is refused before any I/O
+        with pytest.raises(TypeError, match="BytesIO"):
+            load(io.BytesIO(b"n=2\n1 2 3\n"))
+        buffer = io.StringIO()
+        with pytest.raises(TypeError, match="StringIO"):
+            save(generate(2), buffer)
+        assert buffer.getvalue() == ""
 
 
 def binary_reference(dim, values):

@@ -1,9 +1,11 @@
+import functools
+
 import pytest
 
 from ternaryperm.catalog import generate
 from ternaryperm.lifting import SPLICES, TAGS, lift, lift_place
 from ternaryperm.sequences import TernarySequence, verify
-from ternaryperm.words import Word
+from ternaryperm.words import MAX_DIM, Word
 
 A, B, C, D = TAGS
 
@@ -214,3 +216,106 @@ def layout_walk(seq):
 def test_lift_matches_the_layout_table(dim):
     source = generate(dim)
     assert lift(source).decimals == layout_walk(source)
+
+
+def pieces(k):
+    """lift_place's runs of positions, in order, as (first, last).
+
+    Inside a run the source index moves by a fixed step of +1 or -1 and
+    the block does not change; a run of one position is a splice.  These
+    are the rows of lift_place's docstring, with each two-position swap
+    a run of its own.
+    """
+    return (
+        (1, k), (k + 1, k + 1), (k + 2, 2 * k - 1), (2 * k, 2 * k + 1), (2 * k + 2, 2 * k + 2),
+        (2 * k + 3, 2 * k + 4), (2 * k + 5, 3 * k), (3 * k + 1, 3 * k + 2), (3 * k + 3, 3 * k + 3),
+        (3 * k + 4, 3 * k + 5), (3 * k + 6, 4 * k + 3),
+    )
+
+
+def window_vanishes(place, t):
+    """Whether the triple centred at even output position t XORs to 0 for every valid source.
+
+    Output word s is src[i] << 2 | tag for (i, tag) = place(s), with
+    src[0] = 0.  The tag parts must cancel, and the source parts must be
+    a source triple {j - 1, j, j + 1} with j even, which the source's own
+    condition zeroes, or {0, x, x}, which cancels whatever x holds.
+    """
+    (i0, g0), (i1, g1), (i2, g2) = (place(s) for s in (t - 1, t, t + 1))
+    low, j, high = sorted((i0, i1, i2))
+    source_triple = low == j - 1 and high == j + 1 and j % 2 == 0
+    return g0 ^ g1 ^ g2 == 0 and (source_triple or (low == 0 and j == high))
+
+
+class TestPlacementProof:
+    """lift() is correct for every k = 2**m - 1 up to MAX_DIM, from lift_place alone.
+
+    Output word t is src[i] << 2 | tag with (i, tag) = lift_place(k, t).
+    For every ternary permutation src of length k the output is one of
+    length 4k + 3 when two things hold:
+
+    * Triples: every even t passes window_vanishes.
+    * Permutation: the nonzero positions hit each (index, block) pair
+      once, the tag of (i, block b) is TAGS[b][i & 3], and each column of
+      TAGS holds four distinct tags; so every word x << 2 | y with x
+      nonzero appears once.  The three splices give 0 << 2 | y for the
+      three nonzero y.
+
+    m = 3 .. 16 are checked at every position.  Larger m cannot be
+    walked in test time, so they rest on the shape of lift_place: its
+    formula is the same for every k, and within each of the runs in
+    pieces(k) it gives i = c + step * t with step = +1 or -1 and a fixed
+    block.  So for an even t with t - 1 and t + 1 in one run, the sorted
+    indices are (j - 1, j, j + 1) with j = c + step * t, and j mod 4
+    (hence j's parity and every tag, which have period 4 in i) depends
+    only on t mod 4: one period of four positions inside each run
+    stands for every such t.  The even t whose window crosses a run
+    boundary lie within two positions of a run's first position; a
+    window of four on each side of every first position covers them.
+    A run's indices form the interval between its end values, so each
+    block covers 1 .. k once exactly when its runs' intervals tile it.
+    At m <= 16 the runs themselves are checked against every position.
+    """
+
+    def test_every_position_for_m_up_to_16(self):
+        assert all(len({row[col] for row in TAGS}) == 4 for col in range(4))
+        for m in range(3, 17):
+            k = (1 << m) - 1
+            places = [None] + [lift_place(k, t) for t in range(1, 4 * k + 4)]
+            place = places.__getitem__
+            assert all(window_vanishes(place, t) for t in range(2, 4 * k + 3, 2)), m
+            hit = bytearray(4 * (k + 1))
+            for t, (i, tag) in enumerate(places[1:], start=1):
+                block = (t - 1) // (k + 1)
+                hit[4 * i + block] += 1
+                assert tag == (TAGS[block][i & 3] if i else SPLICES[block]), (m, t)
+            assert hit == bytes([1, 1, 1, 0]) + bytes([1]) * (4 * k), m
+            for first, last in pieces(k):
+                steps = {places[t + 1][0] - places[t][0] for t in range(first, last)}
+                assert steps <= {1} or steps <= {-1}, (m, first)
+
+    def test_windows_and_runs_for_m_17_to_28(self):
+        for m in range(17, MAX_DIM - 1):
+            k = (1 << m) - 1
+            place = functools.partial(lift_place, k)
+            covered = [[] for _ in range(4)]
+            for first, last in pieces(k):
+                block = (first - 1) // (k + 1)
+                start = place(first)[0]
+                step = 0 if first == last else place(first + 1)[0] - start
+                assert step in (-1, 1) or (start == 0 and first == last == (block + 1) * (k + 1)), (m, first)
+                middle = (first + last) // 2 & ~3
+                for t in [*range(first - 4, first + 5), *range(middle, middle + 4)]:
+                    if first <= t <= last:
+                        i, tag = place(t)
+                        assert i == start + step * (t - first), (m, t)
+                        assert tag == (TAGS[block][i & 3] if i else SPLICES[block]), (m, t)
+                    if t % 2 == 0 and 2 <= t <= 4 * k + 2:
+                        assert window_vanishes(place, t), (m, t)
+                if start:
+                    end = start + step * (last - first)
+                    covered[block].append((min(start, end), max(start, end)))
+            for runs in covered:
+                runs.sort()
+                assert runs[0][0] == 1 and runs[-1][1] == k, m
+                assert all(b[0] == a[1] + 1 for a, b in zip(runs, runs[1:])), m

@@ -34,7 +34,7 @@ PUBLIC = {
     "SearchMode", "SearchOutcome", "lemma_n3", "naive_count",
     "prove_impossibility", "search", "search_parallel", "search_randomized",
     # catalog
-    "BASE_DIMS", "BaseCaseStore", "LoadResult", "NonexistentDimensionError",
+    "BASE_DIMS", "BaseCaseStore", "NonexistentDimensionError",
     "ParseError", "construction_route", "default_store", "exists", "format_sequence", "generate",
     "load", "parse_sequence_text", "save",
 }
@@ -53,7 +53,7 @@ def module(name):
 
 
 def test_package_exports_the_pinned_names_once():
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
     assert set(ternaryperm.__all__) == PUBLIC
     assert len(ternaryperm.__all__) == len(PUBLIC)
 
@@ -180,7 +180,6 @@ FIELDS = {
         "dim", "nonexistent", "symmetry_reduction", "nodes_explored",
         "cross_check_unreduced_nodes", "total_xor_zero", "verifier_version",
     ),
-    "LoadResult": ("sequence", "format", "report"),
 }
 
 
@@ -203,7 +202,7 @@ DEFAULTS = {
 }
 
 #: The value types without an __init__ of their own: _Frozen binds their fields.
-RECORDS = ("VerificationFailure", "VerificationReport", "LoadResult", "SearchOutcome", "ImpossibilityCertificate")
+RECORDS = ("VerificationFailure", "VerificationReport", "SearchOutcome", "ImpossibilityCertificate")
 
 _SEQ = ternaryperm.TernarySequence.from_decimals(2, (1, 2, 3))
 
@@ -224,7 +223,6 @@ SAMPLES = {
         "dim": 3, "nonexistent": True, "symmetry_reduction": True, "nodes_explored": 12,
         "cross_check_unreduced_nodes": 30, "total_xor_zero": True, "verifier_version": "0.0",
     },
-    "LoadResult": {"sequence": _SEQ, "format": "decimal", "report": ternaryperm.VerificationReport()},
 }
 
 

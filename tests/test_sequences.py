@@ -1,6 +1,5 @@
 import copy
 import importlib
-import io
 import pickle
 import struct
 from dataclasses import FrozenInstanceError
@@ -207,7 +206,7 @@ class TestVerifyAndRaise:
                 RuntimeError,
                 f"search returned an invalid sequence: {patched}",
             ),
-            "save": (lambda: save(bad, io.StringIO()), ValueError, f"refusing to save an invalid sequence: {found}"),
+            "save": (lambda: save(bad, tmp_path / "bad.txt"), ValueError, f"refusing to save an invalid sequence: {found}"),
             "fixture": (
                 lambda: BaseCaseStore(tmp_path).get(5),
                 ValueError,
