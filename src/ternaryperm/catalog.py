@@ -116,7 +116,7 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
         store = default_store()
     seq = store.get(base)
     for _ in range((n - base) // 2):
-        seq = lift(seq)  # each sequence on the chain is checked once: verify keeps its report
+        seq = lift(seq)  # each sequence on the chain is checked once: verify keeps its result
     return seq
 
 
@@ -345,7 +345,7 @@ def load(source: Union[str, Path]) -> tuple[TernarySequence, str]:
 
     Returns what parse_sequence_text() returns for the file's text:
     (sequence, format read).  The sequence is checked before it is
-    returned, so verify(sequence) is then a lookup of the kept report.  A
+    returned, so verify(sequence) is then a lookup of the kept result.  A
     well-formed file that is not actually ternary still loads, so bad
     files can be inspected.  The path is read as UTF-8; a byte that does
     not decode is a ParseError for its line.

@@ -108,11 +108,11 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    report = verify(load(args.path)[0])
-    if report.valid:
+    failure = verify(load(args.path)[0])
+    if failure is None:
         print("valid")
         return EXIT_OK
-    print(f"invalid: {report.failure}")
+    print(f"invalid: {failure}")
     return EXIT_FAILURE
 
 

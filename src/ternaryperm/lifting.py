@@ -86,7 +86,7 @@ def lift(seq: TernarySequence) -> TernarySequence:
     with a two-bit suffix appended, placed as lift_place states: each
     tag family tags the whole source once, and the four blocks are
     slices of those tagged copies.  Input and output are both verified;
-    verify() keeps its report on the sequence, so along a chain of lifts
+    verify() keeps its result on the sequence, so along a chain of lifts
     the input check is a lookup of the previous lift's output check.
     """
     _check_int("source dimension", seq.dim, 3, MAX_DIM - 2)

@@ -2,12 +2,12 @@
 
 A ternary permutation of dimension n lists every nonzero n-bit word exactly
 once, and at every even position the word XORs with its two neighbours to
-zero.  Positions are 1-based in reports and messages, 0-based in storage.
+zero.  Positions are 1-based in failures and messages, 0-based in storage.
 """
 
 from __future__ import annotations
 
-__all__ = ["TernarySequence", "VerificationFailure", "VerificationReport", "verify"]
+__all__ = ["TernarySequence", "VerificationFailure", "verify"]
 
 import sys
 from array import array
@@ -60,16 +60,6 @@ class VerificationFailure(_Frozen):
         return f"{self.kind} at i={self.index}: {self.detail}"
 
 
-class VerificationReport(_Frozen):
-    """Outcome of verify(): the first violation found, or None for a valid sequence."""
-
-    failure: Optional[VerificationFailure] = None
-
-    @property
-    def valid(self) -> bool:
-        return self.failure is None
-
-
 class TernarySequence(_Frozen):
     """An ordered run of words claimed to be a ternary permutation.
 
@@ -77,7 +67,7 @@ class TernarySequence(_Frozen):
     Construction only pins the coherent bits: dimension at least 2 and
     every word a Word of that dimension.  The words are stored as their
     decimal values; .words builds the Word objects on first read, and
-    verify() keeps its report on the instance, both as cached properties.
+    verify() keeps its result on the instance, both as cached properties.
     Instances are immutable, and compare, hash and pickle by (dim,
     decimals) alone: a copy or a pickle carries neither cached value.
     """
@@ -119,7 +109,7 @@ class TernarySequence(_Frozen):
         return tuple(Word(v, self.dim) for v in self.decimals)
 
     @cached_property
-    def _report(self) -> VerificationReport:
+    def _failure(self) -> Optional[VerificationFailure]:
         return _check(self)
 
     def __reduce__(self):
@@ -132,34 +122,34 @@ class TernarySequence(_Frozen):
         return iter(self.words)
 
 
-def verify(seq: TernarySequence) -> VerificationReport:
-    """Check the three ternary conditions, reporting the first violation.
+def verify(seq: TernarySequence) -> Optional[VerificationFailure]:
+    """Check the three ternary conditions: the first violation, or None if all hold.
 
     Check order is fixed: length, then zero/duplicate words scanning
     positions upward, then the XOR of each even-centred triple.  A full
     pass means the words are a permutation of the nonzero vectors with
     every even-position triple summing to zero.  A sequence cannot change,
-    so the report is kept on it and checking the same object again is a
-    lookup.
+    so the result (None too) is kept on it and checking the same object
+    again is a lookup.
     """
     if not isinstance(seq, TernarySequence):
         raise TypeError(f"seq must be a TernarySequence, got {type(seq).__name__}")
-    return seq._report
+    return seq._failure
 
 
-def _require(report: VerificationReport, error: type[Exception], context: str) -> None:
-    """Raise error(f"{context}: {failure}") when the report holds a failure."""
-    if not report.valid:
-        raise error(f"{context}: {report.failure}")
+def _require(failure: Optional[VerificationFailure], error: type[Exception], context: str) -> None:
+    """Raise error(f"{context}: {failure}") when there is a failure."""
+    if failure is not None:
+        raise error(f"{context}: {failure}")
 
 
-def _check(seq: TernarySequence) -> VerificationReport:
+def _check(seq: TernarySequence) -> Optional[VerificationFailure]:
     vals = seq.decimals
     expected = (1 << seq.dim) - 1
     actual = len(vals)
     if actual != expected:
         detail = f"expected {expected} words for n={seq.dim}, got {actual}"
-        return VerificationReport(VerificationFailure("length", min(actual, expected) + 1, detail))
+        return VerificationFailure("length", min(actual, expected) + 1, detail)
     # Values are in [0, expected] by construction, so expected distinct
     # nonzero ones are a permutation; the scan only locates the violation.
     seen = set(vals)
@@ -167,10 +157,10 @@ def _check(seq: TernarySequence) -> VerificationReport:
         first_at: dict[int, int] = {}
         for pos, v in enumerate(vals, start=1):
             if v == 0:
-                return VerificationReport(VerificationFailure("zero-word", pos, f"word at position {pos} is zero"))
+                return VerificationFailure("zero-word", pos, f"word at position {pos} is zero")
             if v in first_at:
                 detail = f"word {v} at position {pos} already appeared at position {first_at[v]}"
-                return VerificationReport(VerificationFailure("duplicate", pos, detail))
+                return VerificationFailure("duplicate", pos, detail)
             first_at[v] = pos
     # Sum j (0-based) is vals[2j] ^ vals[2j + 1] ^ vals[2j + 2], centred on
     # the 1-based even index 2j + 2; expected is odd, so the slices cover
@@ -184,5 +174,5 @@ def _check(seq: TernarySequence) -> VerificationReport:
         j = next(compress(count(), sums))  # index of the first nonzero sum
         i = 2 * j + 2
         detail = f"v{i - 1} XOR v{i} XOR v{i + 1} = {sums[j]}, expected 0"
-        return VerificationReport(VerificationFailure("triple-sum", i, detail))
-    return VerificationReport()
+        return VerificationFailure("triple-sum", i, detail)
+    return None

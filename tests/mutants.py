@@ -149,6 +149,21 @@ MUTANTS = [
         "the second-to-last slot is then always entered, and its walk counts the nodes"
         " the skip credits in place: answers and node totals are unchanged, only time",
     ),
+    Mutant(  # a pool as wide as --parallel, even for a one-entry frontier
+        "search.py",
+        "    processes = min(workers, len(prefixes))\n",
+        "    processes = workers\n",
+        ("test_package.py::test_commands_import_neither_dataclasses_nor_a_process_pool",),
+    ),
+    Mutant(  # prove trusts the reduced search without its cross-check
+        "search.py",
+        "        if (count == 0) != (reduced.sequence is None):  # soundness tripwire\n",
+        "        if False:  # soundness tripwire\n",
+        (
+            "test_search.py::TestImpossibility::test_the_tripwire_fires_when_the_two_searches_disagree[reduced]",
+            "test_search.py::TestImpossibility::test_the_tripwire_fires_when_the_two_searches_disagree[unreduced]",
+        ),
+    ),
     # the seed, the sequence type and verify
     Mutant(
         "search.py",
@@ -172,11 +187,23 @@ MUTANTS = [
     ),
     Mutant(
         "sequences.py",
-        "    if not report.valid:\n        raise error(",
-        "    if report.valid:\n        raise error(",
+        "    if failure is not None:\n        raise error(",
+        "    if failure is None:\n        raise error(",
         ("test_sequences.py::TestVerifyAndRaise::test_each_site_raises_its_message",),
     ),
-    Mutant(  # a copy or a pickle carries the cached report
+    Mutant(  # a sequence that passes every check still fails
+        "sequences.py",
+        "    return None\n",
+        '    return VerificationFailure("length", 1, "mutant")\n',
+        ("test_sequences.py::TestVerify::test_valid_dim_2",),
+    ),
+    Mutant(  # an import left behind: the source checks read the package the tests imported
+        "sequences.py",
+        "import sys\n",
+        "import os\nimport sys\n",
+        ("test_package.py::test_no_module_imports_a_name_it_never_uses",),
+    ),
+    Mutant(  # a copy or a pickle carries the cached result
         "sequences.py",
         "    def __reduce__(self):\n        return self._trusted, (self.dim, self.decimals)\n",
         "",
@@ -223,6 +250,12 @@ MUTANTS = [
         "return len(text) == dim and set(text)",
         "return set(text)",
         (FORMAT_RULE,),
+    ),
+    Mutant(  # verify prints valid for an invalid file, and invalid for a valid one
+        "cli.py",
+        "    if failure is None:\n",
+        "    if failure is not None:\n",
+        ("test_cli.py::TestVerify::test_invalid_file_reports_kind_and_index",),
     ),
     Mutant(  # --reduce with its --no-reduce twin
         "cli.py",

@@ -81,19 +81,19 @@ class TestGenerate:
         seq = generate(n)
         assert seq.dim == n
         assert len(seq) == 2**n - 1
-        assert verify(seq).valid
+        assert verify(seq) is None
 
     def test_each_sequence_on_the_chain_is_checked_once(self, monkeypatch):
         real = sequences._check
         checked = []
         monkeypatch.setattr(sequences, "_check", lambda s: checked.append(s.dim) or real(s))
         result = generate(11, store=BaseCaseStore())
-        assert verify(result).valid
+        assert verify(result) is None
         assert checked == [5, 7, 9, 11]  # the base case, then each lift's output
 
     def test_lift_still_rejects_an_invalid_input_checked_before(self):
         bad = TernarySequence.from_decimals(5, range(1, 32))
-        assert not verify(bad).valid
+        assert verify(bad) is not None
         with pytest.raises(ValueError, match="not a ternary permutation"):
             lift(bad)
 
@@ -115,7 +115,7 @@ def test_exists_agrees_with_the_impossibility_runs():
         assert prove_impossibility(n).nonexistent is True
     for n in (2, 5, 6, 7, 8, 9, 10, 11, 12):
         assert exists(n) is True
-        assert verify(generate(n)).valid
+        assert verify(generate(n)) is None
 
 
 class TestRoute:
@@ -177,7 +177,7 @@ class TestFormats:
         loaded, read = load(path)
         assert loaded == seq
         assert read == fmt
-        assert verify(loaded).valid
+        assert verify(loaded) is None
 
     def test_save_replaces_a_file_in_one_step(self, tmp_path):
         target = tmp_path / "seq.txt"
@@ -264,15 +264,14 @@ class TestLoadMetadata:
         seq, fmt = load(path)
         assert seq.decimals == (1, 2, 3, 4, 5, 6, 7)
         assert fmt == "decimal"
-        report = verify(seq)
-        assert not report.valid
-        assert report.failure.kind == "triple-sum"
-        assert report.failure.index == 4
+        failure = verify(seq)
+        assert failure.kind == "triple-sum"
+        assert failure.index == 4
 
     def test_duplicates_are_verification_not_parse_failures(self, tmp_path):
         path = tmp_path / "seq.txt"
         path.write_text("n=2\n1 1 2\n")
-        assert verify(load(path)[0]).failure.kind == "duplicate"
+        assert verify(load(path)[0]).kind == "duplicate"
 
     @pytest.mark.parametrize("fmt", ("decimal", "binary"))
     def test_load_is_the_parse_of_the_file_text_checked(self, fmt, tmp_path, monkeypatch):
@@ -286,8 +285,8 @@ class TestLoadMetadata:
         assert loaded == parse_sequence_text(path.read_text(encoding="utf-8"))
         assert loaded[1] == fmt
         assert len(checked) == 1 and checked[0] is loaded[0]  # load ran the check...
-        assert verify(loaded[0]).valid
-        assert len(checked) == 1  # ...so verify looks up its report
+        assert verify(loaded[0]) is None
+        assert len(checked) == 1  # ...so verify looks up its kept result
 
 
 class TestParseErrors:
@@ -602,7 +601,7 @@ class TestBaseCaseStore:
     def test_packaged_fixtures_back_every_base_dim_without_a_search(self, searches):
         store = BaseCaseStore()
         for dim in BASE_DIMS:
-            assert verify(store.get(dim)).valid
+            assert verify(store.get(dim)) is None
         assert store.get(2).decimals == (1, 2, 3)
         assert store.get(5).decimals == BASE5_DECIMALS
         assert searches == []
@@ -622,7 +621,7 @@ class TestBaseCaseStore:
             assert fresh.get(dim) is fresh.get(dim)
         for dim in (2, 5):
             assert fresh.get(dim) == packaged.get(dim)
-        assert verify(fresh.get(6)).valid
+        assert verify(fresh.get(6)) is None
         assert fresh.get(6) == search_randomized(6, seed=0).sequence
         assert searches == [("search", 2), ("search", 5), ("search_randomized", 6)]
 
@@ -673,5 +672,5 @@ class TestBaseCaseStore:
         # by the seeded search in 51,630 nodes; n=5 would take 3.4M
         store = BaseCaseStore(fixture_dir=tmp_path)
         seq = generate(8, store=store)
-        assert verify(seq).valid
+        assert verify(seq) is None
         assert searches == [("search_randomized", 6)]

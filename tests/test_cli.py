@@ -129,7 +129,7 @@ class TestVerify:
         path.write_text("n=3\n1 2 3 4 5 6 7\n")
         code, out, _ = run(capsys, "verify", str(path))
         assert code == EXIT_FAILURE
-        assert "triple-sum at i=4" in out
+        assert out == "invalid: triple-sum at i=4: v3 XOR v4 XOR v5 = 2, expected 0\n"
 
     def test_truncated_file_is_a_parse_error(self, capsys, tmp_path):
         path = tmp_path / "short.txt"

@@ -105,5 +105,5 @@ def test_the_doubling_lift_builds_verified_n6_and_n7_from_the_n5_base_case():
     for dim in (6, 7):
         seq, draws = double(seq, rng)
         assert seq.dim == dim
-        assert verify(seq).valid, (dim, draws, verify(seq).failure)
+        assert verify(seq) is None, (dim, draws, verify(seq))
 

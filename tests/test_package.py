@@ -17,6 +17,8 @@ from ternaryperm.search import BudgetExhaustedError
 from ternaryperm.words import _Frozen
 
 ROOT = Path(__file__).resolve().parent.parent
+#: The package these tests imported; tests/mutants.py puts a mutated copy first on the path
+PACKAGE = Path(ternaryperm.__file__).parent
 MODULES = ("catalog", "lifting", "search", "sequences", "words")
 
 #: The package's public names, pinned: adding, removing or moving one is a
@@ -26,7 +28,7 @@ PUBLIC = {
     # words
     "MAX_DIM", "Word",
     # sequences
-    "TernarySequence", "VerificationFailure", "VerificationReport", "verify",
+    "TernarySequence", "VerificationFailure", "verify",
     # lifting
     "lift", "lift_place",
     # search
@@ -53,7 +55,7 @@ def module(name):
 
 
 def test_package_exports_the_pinned_names_once():
-    assert len(PUBLIC) == 33
+    assert len(PUBLIC) == 32
     assert set(ternaryperm.__all__) == PUBLIC
     assert len(ternaryperm.__all__) == len(PUBLIC)
 
@@ -162,7 +164,7 @@ def test_commands_import_neither_dataclasses_nor_a_process_pool():
     # command; every count walks its frontier, and the n = 4 count's one
     # entry is walked in process, with or without --parallel
     result = subprocess.run(
-        [sys.executable, "-S", "-c", IMPORT_GRAPH_CHECK, str(ROOT / "src")],
+        [sys.executable, "-S", "-c", IMPORT_GRAPH_CHECK, str(PACKAGE.parent)],
         capture_output=True, text=True, check=True,
     )
     assert result.stdout == "\n0\nFalse\n0\nFalse\n"
@@ -173,7 +175,6 @@ FIELDS = {
     "Word": ("bits", "dim"),
     "TernarySequence": ("dim", "decimals"),
     "VerificationFailure": ("kind", "index", "detail"),
-    "VerificationReport": ("failure",),
     "SearchConfig": ("dim", "mode", "symmetry_reduction", "node_budget"),
     "SearchOutcome": ("dim", "mode", "symmetry_reduction", "nodes_explored", "sequence", "count"),
     "ImpossibilityCertificate": (
@@ -193,7 +194,6 @@ def test_the_value_types_fields_are_their_annotations():
 #: The fields that take a default when a call leaves them out, with it:
 #: given beside the annotation, and bound by _Frozen.__init__.
 DEFAULTS = {
-    "VerificationReport": {"failure": None},
     "SearchOutcome": {"sequence": None, "count": None},
     "ImpossibilityCertificate": {
         "cross_check_unreduced_nodes": None, "total_xor_zero": None,
@@ -202,7 +202,7 @@ DEFAULTS = {
 }
 
 #: The value types without an __init__ of their own: _Frozen binds their fields.
-RECORDS = ("VerificationFailure", "VerificationReport", "SearchOutcome", "ImpossibilityCertificate")
+RECORDS = ("VerificationFailure", "SearchOutcome", "ImpossibilityCertificate")
 
 _SEQ = ternaryperm.TernarySequence.from_decimals(2, (1, 2, 3))
 
@@ -211,7 +211,6 @@ SAMPLES = {
     "Word": {"bits": 5, "dim": 3},
     "TernarySequence": {"dim": 2, "words": _SEQ.words},
     "VerificationFailure": {"kind": "length", "index": 1, "detail": "expected 3 words for n=2, got 0"},
-    "VerificationReport": {"failure": ternaryperm.VerificationFailure("zero-word", 2, "word at position 2 is zero")},
     "SearchConfig": {
         "dim": 4, "mode": ternaryperm.SearchMode.COUNT, "symmetry_reduction": True, "node_budget": 100,
     },
@@ -269,8 +268,6 @@ def test_a_record_refuses_a_call_that_does_not_bind_each_field_once(name):
     with pytest.raises(TypeError, match=f"^{name} has no field 'colour'$"):
         cls(*args, colour=None)
     required = [field for field in FIELDS[name] if field not in DEFAULTS.get(name, {})]
-    if not required:  # VerificationReport: its one field has a default
-        return
     with pytest.raises(TypeError, match=f"^{name} is missing field '{FIELDS[name][1]}'$"):
         cls(args[0])
     with pytest.raises(TypeError, match=f"^{name} is missing field '{required[-1]}'$"):
@@ -318,7 +315,7 @@ def unused_imports(source):
 def test_no_module_imports_a_name_it_never_uses():
     # what deleting a function can leave behind
     assert unused_imports("import os\nfrom .words import Word, total_xor\ntotal_xor(3)\n") == {"os", "Word"}
-    for path in sorted((ROOT / "src" / "ternaryperm").glob("*.py")):
+    for path in sorted(PACKAGE.glob("*.py")):
         assert unused_imports(path.read_text(encoding="utf-8")) == set(), path.name
 
 
@@ -353,7 +350,7 @@ def test_every_module_level_name_is_used():
     )
     assert unread_definitions([snippet, "from .a import Y\n"]) == {"X", "f", "Y"}
     assert unread_definitions([snippet, "from .a import Y\nY + f()\n"]) == {"X"}
-    sources = [p.read_text(encoding="utf-8") for p in sorted((ROOT / "src" / "ternaryperm").glob("*.py"))]
+    sources = [p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))]
     assert unread_definitions(sources) == LIBRARY_ONLY
 
 

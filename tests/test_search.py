@@ -10,6 +10,7 @@ from ternaryperm.search import (
     BudgetExhaustedError,
     SearchConfig,
     SearchMode,
+    SearchOutcome,
     lemma_n3,
     naive_count,
     prove_impossibility,
@@ -18,7 +19,7 @@ from ternaryperm.search import (
     search_randomized,
 )
 from ternaryperm.search import _apply_prefix, _explore, _free_positions, _walk_subtrees
-from ternaryperm.sequences import verify
+from ternaryperm.sequences import TernarySequence, verify
 
 from conftest import BASE5_DECIMALS
 
@@ -199,7 +200,7 @@ class TestFirstMode:
 
     def test_returned_sequences_pass_verify(self, dim5_first_reduced):
         for outcome in (run(2, SearchMode.FIRST, reduce=True), dim5_first_reduced):
-            assert verify(outcome.sequence).valid
+            assert verify(outcome.sequence) is None
 
     def test_dim5_first_reduced_regression(self, dim5_first_reduced):
         assert dim5_first_reduced.sequence.decimals == BASE5_DECIMALS
@@ -664,7 +665,7 @@ class TestRandomizedDiscovery:
     def test_finds_valid_dim6_sequence(self):
         outcome = search_randomized(6, seed=0)
         assert outcome.sequence.dim == 6
-        assert verify(outcome.sequence).valid
+        assert verify(outcome.sequence) is None
 
     def test_deterministic_for_fixed_seed(self):
         a = search_randomized(6, seed=0)
@@ -708,7 +709,7 @@ class TestRandomizedDiscovery:
         # at dimension 5 the walk below the prefix drawn with seed 1 needs
         # 17,383 nodes, that below the one drawn with seed 2 needs 5,317
         outcome = search_randomized(5, seed=1)
-        assert verify(outcome.sequence).valid
+        assert verify(outcome.sequence) is None
         assert outcome.nodes_explored == 10001 + 5317
 
     def test_a_dead_slot_ends_the_draw_and_the_walk_counts_its_tries(self, monkeypatch):
@@ -740,7 +741,7 @@ class TestRandomizedDiscovery:
         slots = _free_positions(dim)[: -module._TAIL]
         for seed in range(20):
             found = search_randomized(dim, seed).sequence
-            assert verify(found).valid
+            assert verify(found) is None
             prefix = tuple(found.decimals[p - 1] for p in slots)
             assert _explore(dim, SearchMode.FIRST, prefix)[0] == found.decimals
 
@@ -816,6 +817,24 @@ class TestImpossibility:
         cert = prove_impossibility(3)
         assert sorted(calls) == [((), False), ((1, 2), True)]
         assert (cert.nodes_explored, cert.cross_check_unreduced_nodes) == (12, 553)
+
+    @pytest.mark.parametrize("found_by", ["reduced", "unreduced"])
+    def test_the_tripwire_fires_when_the_two_searches_disagree(self, found_by, monkeypatch):
+        # the two searches agree on correct code, so one of them is made to find a sequence
+        module = importlib.import_module("ternaryperm.search")
+        if found_by == "reduced":
+            real = module.search
+
+            def finding(config):
+                outcome = real(config)
+                found = TernarySequence.from_decimals(3, range(1, 8))
+                return SearchOutcome(3, config.mode, True, outcome.nodes_explored, found)
+
+            monkeypatch.setattr(module, "search", finding)
+        else:
+            monkeypatch.setattr(module, "_explore", lambda *args, **kwargs: (None, 1, 0))
+        with pytest.raises(RuntimeError, match="^reduced and unreduced searches disagree$"):
+            prove_impossibility(3)
 
     def test_dim4_certificate(self):
         cert = prove_impossibility(4)

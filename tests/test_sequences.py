@@ -11,7 +11,7 @@ from ternaryperm import lifting, sequences
 from ternaryperm.catalog import BaseCaseStore, generate, save
 from ternaryperm.lifting import lift
 from ternaryperm.search import SearchConfig, SearchMode, search
-from ternaryperm.sequences import TernarySequence, VerificationFailure, VerificationReport, verify
+from ternaryperm.sequences import TernarySequence, VerificationFailure, verify
 from ternaryperm.words import Word
 
 from conftest import BASE5_DECIMALS
@@ -123,7 +123,7 @@ class TestSequenceType:
         assert s.words == (Word(1, 3), Word(2, 3), Word(3, 3))
         assert s.words is s.words
 
-    @pytest.mark.parametrize("name", ("dim", "decimals", "words", "_report", "other"))
+    @pytest.mark.parametrize("name", ("dim", "decimals", "words", "_failure", "other"))
     def test_immutable(self, name):
         s = seq(2, (1, 2, 3))
         with pytest.raises(FrozenInstanceError):
@@ -140,7 +140,7 @@ class TestSequenceType:
 
 @pytest.fixture
 def checks(monkeypatch):
-    """Count verify's full checks: the ones not served from a kept report."""
+    """Count verify's full checks: the ones not served from a kept result."""
     real = sequences._check
     done = []
 
@@ -154,15 +154,15 @@ def checks(monkeypatch):
 
 class TestKeptReport:
     def test_a_repeat_check_is_a_lookup(self, checks):
-        s = seq(3, (1, 2, 3, 4, 5, 6, 7))
-        report = verify(s)
-        assert verify(s) is report
-        assert not report.valid  # invalid reports are kept too
-        assert checks == [s]
+        s, t = seq(3, (1, 2, 3, 4, 5, 6, 7)), seq(2, (1, 3, 2))
+        failure = verify(s)
+        assert failure is not None and verify(s) is failure  # a failure is kept...
+        assert verify(t) is None and verify(t) is None  # ...and so is None
+        assert checks == [s, t]
 
     def test_kept_per_object_not_per_value(self, checks):
         s, t = seq(2, (1, 3, 2)), seq(2, (1, 3, 2))
-        assert verify(s).valid and verify(t).valid
+        assert verify(s) is None and verify(t) is None
         assert checks == [s, t]
 
     def test_equality_hash_and_pickling_ignore_it(self, checks):
@@ -172,8 +172,8 @@ class TestKeptReport:
         assert s == fresh and hash(s) == hash(fresh)
         for clone in (pickle.loads(pickle.dumps(s)), copy.deepcopy(s)):
             assert clone == s
-            assert verify(clone).valid
-        assert len(checks) == 3  # s, then each clone: a copy carries no report
+            assert verify(clone) is None
+        assert len(checks) == 3  # s, then each clone: a copy carries no kept result
 
 
 class TestVerifyAndRaise:
@@ -184,7 +184,7 @@ class TestVerifyAndRaise:
         bad = seq(3, range(1, 8))
         found = "triple-sum at i=4: v3 XOR v4 XOR v5 = 2, expected 0"
         # the two tripwires fire only on a regression, so their verify is patched
-        failed = VerificationReport(VerificationFailure("triple-sum", 2, "patched"))
+        failed = VerificationFailure("triple-sum", 2, "patched")
         patched = "triple-sum at i=2: patched"
         fixture = tmp_path / "5.txt"
         if site == "fixture":
@@ -221,68 +221,62 @@ class TestVerifyAndRaise:
 
 class TestVerify:
     def test_valid_dim_2(self):
-        assert verify(seq(2, (1, 3, 2))).valid
+        assert verify(seq(2, (1, 3, 2))) is None
 
     def test_all_dim_2_permutations_are_ternary(self):
         # 1 XOR 2 XOR 3 = 0, and position 2 is the only even index
         from itertools import permutations
 
         for perm in permutations((1, 2, 3)):
-            assert verify(seq(2, perm)).valid
+            assert verify(seq(2, perm)) is None
 
     def test_triple_sum_failure(self):
-        report = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))
-        assert not report.valid
-        assert report.failure.kind == "triple-sum"
-        assert report.failure.index == 4
-        assert "2" in report.failure.detail  # 3 XOR 4 XOR 5 = 2
+        failure = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))
+        assert failure.kind == "triple-sum"
+        assert failure.index == 4
+        assert "2" in failure.detail  # 3 XOR 4 XOR 5 = 2
 
     def test_duplicate_failure(self):
-        report = verify(seq(2, (1, 1, 2)))
-        assert not report.valid
-        assert report.failure.kind == "duplicate"
-        assert report.failure.index == 2
+        failure = verify(seq(2, (1, 1, 2)))
+        assert failure.kind == "duplicate"
+        assert failure.index == 2
 
     def test_zero_word_failure(self):
-        report = verify(seq(2, (1, 0, 3)))
-        assert not report.valid
-        assert report.failure.kind == "zero-word"
-        assert report.failure.index == 2
+        failure = verify(seq(2, (1, 0, 3)))
+        assert failure.kind == "zero-word"
+        assert failure.index == 2
 
     def test_length_failure_too_short(self):
-        report = verify(seq(2, (1, 2)))
-        assert not report.valid
-        assert report.failure.kind == "length"
-        assert report.failure.index == 3  # first missing position
-        assert "expected 3" in report.failure.detail
+        failure = verify(seq(2, (1, 2)))
+        assert failure.kind == "length"
+        assert failure.index == 3  # first missing position
+        assert "expected 3" in failure.detail
 
     def test_length_failure_too_long(self):
-        report = verify(seq(2, (1, 2, 3, 1)))
-        assert report.failure.kind == "length"
-        assert report.failure.index == 4  # first surplus position
+        failure = verify(seq(2, (1, 2, 3, 1)))
+        assert failure.kind == "length"
+        assert failure.index == 4  # first surplus position
 
     def test_zero_and_duplicate_scan_order(self):
         # zero at position 2 is hit before the duplicate at position 3
-        report = verify(seq(2, (1, 0, 1)))
-        assert report.failure.kind == "zero-word"
-        assert report.failure.index == 2
+        failure = verify(seq(2, (1, 0, 1)))
+        assert failure.kind == "zero-word"
+        assert failure.index == 2
 
     def test_duplicates_scan_before_triple_sums(self):
         # triple at i=2 already fails, but the duplicate scan runs first
-        report = verify(seq(3, (1, 2, 4, 5, 2, 6, 7)))
-        assert report.failure.kind == "duplicate"
-        assert report.failure.index == 5
+        failure = verify(seq(3, (1, 2, 4, 5, 2, 6, 7)))
+        assert failure.kind == "duplicate"
+        assert failure.index == 5
 
     def test_a_report_is_its_failure(self):
-        failure = verify(seq(2, (1, 1, 2))).failure
-        assert failure is not None
-        assert VerificationReport(failure).failure is failure
-        assert VerificationReport(failure).valid is False
-        assert VerificationReport().valid is True
-        assert VerificationReport() == verify(seq(2, (1, 2, 3)))
-        assert repr(VerificationReport()) == "VerificationReport(failure=None)"
+        # verify returns the first violation itself, and None when there is none
+        failure = verify(seq(2, (1, 1, 2)))
+        assert type(failure) is VerificationFailure
+        assert failure == VerificationFailure("duplicate", 2, "word 1 at position 2 already appeared at position 1")
+        assert verify(seq(2, (1, 2, 3))) is None
         with pytest.raises(FrozenInstanceError):
-            VerificationReport().valid = False
+            failure.kind = "length"
 
     def test_refuses_what_is_not_a_sequence(self):
         # a tuple used to fail with AttributeError naming the private _report
@@ -290,8 +284,8 @@ class TestVerify:
             verify((1, 2, 3))
 
     def test_failure_message_uses_1_based_positions(self):
-        report = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))
-        assert "i=4" in str(report.failure)
+        failure = verify(seq(3, (1, 2, 3, 4, 5, 6, 7)))
+        assert "i=4" in str(failure)
 
 
 @given(
@@ -301,7 +295,7 @@ class TestVerify:
 def test_verify_matches_naive_oracle_on_permutations(dim, data):
     values = data.draw(st.permutations(list(range(1, 2**dim))))
     s = seq(dim, values)
-    assert verify(s).valid == naive_is_ternary(dim, list(values))
+    assert (verify(s) is None) == naive_is_ternary(dim, list(values))
 
 
 @given(
@@ -314,7 +308,7 @@ def test_verify_matches_naive_oracle_on_arbitrary_words(dim, data):
         st.lists(st.integers(min_value=0, max_value=size), min_size=size, max_size=size)
     )
     s = seq(dim, values)
-    assert verify(s).valid == naive_is_ternary(dim, list(values))
+    assert (verify(s) is None) == naive_is_ternary(dim, list(values))
 
 
 def reference_failure(dim, vals):
@@ -351,7 +345,7 @@ class TestLittleEndianWords:
 
 
 def check_outcome(dim, vals):
-    failure = sequences._check(TernarySequence._trusted(dim, tuple(vals))).failure
+    failure = sequences._check(TernarySequence._trusted(dim, tuple(vals)))
     return None if failure is None else (failure.kind, failure.index, failure.detail)
 
 
