@@ -22,7 +22,7 @@ from typing import Optional, Union
 
 from .lifting import lift
 from .search import SearchConfig, search, search_randomized
-from .sequences import TernarySequence, _require, le_bytes, le_values, verify
+from .sequences import TernarySequence, _require, lanes, unlanes, verify
 from .words import MAX_DIM, _check_int
 
 BASE_DIMS = (2, 5, 6)
@@ -72,20 +72,10 @@ def exists(n: int) -> bool:
 
 
 def _base_dim(n: int) -> int:
-    """The base dimension generate(n) starts from; refuses n it does not build.
-
-    That includes an n whose estimated peak memory exceeds physical memory.
-    """
+    """The base dimension generate(n) starts from; refuses n that has none."""
     if not exists(n):  # refuses a non-int n and n < 2 first
         raise NonexistentDimensionError(n)
     _check_int("n", n, 2, MAX_DIM)
-    peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
-    memory = _physical_memory()
-    if memory is not None and peak > memory:
-        raise ValueError(
-            f"n={n} needs about {peak / 1e6:,.0f} MB at its peak, more than "
-            f"the {memory / 1e6:,.0f} MB of physical memory here"
-        )
     return n if n in BASE_DIMS else (5 if n % 2 else 6)
 
 
@@ -93,7 +83,8 @@ def construction_route(n: int) -> list[str]:
     """How generate(n) is assembled, newest step first.
 
     construction_route(9) == ["lifted-from-7", "lifted-from-5", "base-5"].
-    Refuses the same dimensions as generate, with the same errors.
+    Refuses n = 3 and 4 and n outside [2, MAX_DIM] as generate does; it
+    builds nothing, so it answers an n that generate refuses for memory.
     """
     base = _base_dim(n)
     steps = [f"lifted-from-{m - 2}" for m in range(n, base, -2)]
@@ -112,6 +103,13 @@ def generate(n: int, store: Optional["BaseCaseStore"] = None) -> TernarySequence
     than left to run out of memory.
     """
     base = _base_dim(n)
+    peak = GEN_BYTES_PER_WORD * ((1 << n) - 1)
+    memory = _physical_memory()
+    if memory is not None and peak > memory:
+        raise ValueError(
+            f"n={n} needs about {peak / 1e6:,.0f} MB at its peak, more than "
+            f"the {memory / 1e6:,.0f} MB of physical memory here"
+        )
     if store is None:
         store = default_store()
     seq = store.get(base)
@@ -162,7 +160,7 @@ def _format_binary(seq: TernarySequence) -> str:
     header = f"n={dim}\n"
     if not count:
         return header + "\n"
-    raw = le_bytes(seq.decimals)
+    raw = lanes(seq.decimals).to_bytes(4 * count, "little")
     start, width = len(header), dim + 1
     text = bytearray(b"\n") * (start + count * width)
     text[:start] = header.encode()
@@ -195,7 +193,7 @@ def _read_binary_columns(data: bytes, dim: int, count: int) -> Optional[tuple[in
     for b, plane in enumerate(planes):
         if plane:
             raw[b::4] = plane.to_bytes(count, "little")
-    return tuple(le_values(raw))
+    return tuple(unlanes(int.from_bytes(raw, "little"), count))
 
 
 def _is_ascii_digits(text: str) -> bool:
@@ -241,13 +239,6 @@ def _parse_header(text: str) -> tuple[int, str]:
     if dim > MAX_DIM:
         raise ParseError(1, f"dimension must be at most {MAX_DIM}, got {dim}")
     return dim, body
-
-
-def _check_value(value: int, expected: int, line: int) -> None:
-    if value == 0:
-        raise ParseError(line, "zero word not permitted")
-    if not 1 <= value <= expected:
-        raise ParseError(line, f"value {value} out of range [1, {expected}]")
 
 
 def parse_sequence_text(text: str) -> tuple[TernarySequence, str]:
@@ -311,30 +302,25 @@ def _scan_lines(body: str, dim: int, fmt: str) -> tuple[int, ...]:
         lines.pop()
     expected = (1 << dim) - 1
     rows = [(no, line.strip()) for no, line in enumerate(lines, start=2) if line.strip()]
-
+    binary = fmt == "binary"
     values: list[int] = []
-    if fmt == "binary":
-        for no, line in rows:
-            if not _is_binary_word(line, dim):
-                raise ParseError(no, f"expected one {dim}-character 0/1 string per line, got {line!r}")
+    for no, line in rows:
+        for token in (line,) if binary else line.split():  # a binary line is one token
+            if binary and not _is_binary_word(token, dim):
+                raise ParseError(no, f"expected one {dim}-character 0/1 string per line, got {token!r}")
+            if not binary and not _is_ascii_digits(token):
+                raise ParseError(no, f"{token!r} is not a decimal value")
             if len(values) == expected:
                 raise ParseError(no, f"expected {expected} values, got more")
-            value = int(line, 2)
-            _check_value(value, expected, no)
+            value = int(token, 2) if binary else _small_int(token, expected)
+            if value is None:
+                digits = len(token.lstrip("0"))
+                raise ParseError(no, f"{digits}-digit value out of range [1, {expected}]")
+            if value == 0:
+                raise ParseError(no, "zero word not permitted")
+            if value > expected:
+                raise ParseError(no, f"value {value} out of range [1, {expected}]")
             values.append(value)
-    else:
-        for no, line in rows:
-            for token in line.split():
-                if not _is_ascii_digits(token):
-                    raise ParseError(no, f"{token!r} is not a decimal value")
-                if len(values) == expected:
-                    raise ParseError(no, f"expected {expected} values, got more")
-                value = _small_int(token, expected)
-                if value is None:
-                    digits = len(token.lstrip("0"))
-                    raise ParseError(no, f"{digits}-digit value out of range [1, {expected}]")
-                _check_value(value, expected, no)
-                values.append(value)
     if len(values) != expected:
         raise ParseError(len(lines) + 1, f"expected {expected} values, got {len(values)}")
     return tuple(values)

@@ -92,7 +92,7 @@ def lift(seq: TernarySequence) -> TernarySequence:
     _check_int("source dimension", seq.dim, 3, MAX_DIM - 2)
     _require(verify(seq), ValueError, "input is not a ternary permutation")
     k = len(seq.decimals)
-    shifted = lanes(array("I", seq.decimals)) << 2
+    shifted = lanes(seq.decimals) << 2
     # a, b, c, d[j] is source index j + 1 tagged with that family; the
     # tag cycle starts at index 1.  Each family is one OR over all k
     # lanes; n + 2 <= MAX_DIM keeps every tagged value inside its lane.

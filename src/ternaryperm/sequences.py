@@ -24,28 +24,17 @@ if array("I").itemsize != 4:
     raise ImportError(f"ternaryperm needs 4-byte array('I') items, not {array('I').itemsize}-byte ones")
 
 
-def lanes(values: array) -> int:
-    """The array's items as the 32-bit lanes of one int; XOR, OR and shifts then act lane by lane."""
-    return int.from_bytes(le_bytes(values), "little")
+def lanes(values: Iterable[int]) -> int:
+    """The values as the 32-bit lanes of one int, on any host; XOR, OR and shifts then act lane by lane."""
+    words = array("I", values)
+    if sys.byteorder == "big":
+        words.byteswap()
+    return int.from_bytes(words, "little")
 
 
 def unlanes(packed: int, size: int) -> array:
     """Inverse of lanes(): the first size 32-bit lanes of packed, as an array('I')."""
-    return le_values(packed.to_bytes(4 * size, "little"))
-
-
-def le_bytes(values: Iterable[int]) -> bytes:
-    """The values as 4-byte little-endian words, whatever the host's byte order."""
-    words = array("I", values)
-    if sys.byteorder == "big":
-        words.byteswap()
-    return words.tobytes()
-
-
-def le_values(data: bytes) -> array:
-    """Inverse of le_bytes(): the 4-byte little-endian words of data, as an array('I')."""
-    words = array("I")
-    words.frombytes(data)
+    words = array("I", packed.to_bytes(4 * size, "little"))
     if sys.byteorder == "big":
         words.byteswap()
     return words

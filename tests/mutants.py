@@ -54,6 +54,7 @@ RANDOMIZED = "test_search.py::TestRandomizedDiscovery::"
 ORBIT = "test_search.py::TestOrbitScaling::"
 RECORD_BINDING = "test_package.py::test_a_record_refuses_a_call_that_does_not_bind_each_field_once[VerificationFailure]"
 FORMAT_RULE = "test_cli.py::TestVerify::test_the_file_states_its_format"
+PARSE_ERRORS = "test_catalog.py::TestParseErrors::"
 
 MUTANTS = [
     # _apply_prefix's checks (TestPrefixChecks)
@@ -78,6 +79,12 @@ MUTANTS = [
         "if first is not None or not drawn:",
         "if first is not None:",
         (RANDOMIZED + "test_one_finished_attempt_settles_nonexistence",),
+    ),
+    Mutant(  # one attempt more than _ATTEMPTS
+        "search.py",
+        "for attempt in range(_ATTEMPTS):",
+        "for attempt in range(_ATTEMPTS + 1):",
+        (RANDOMIZED + "test_all_attempts_exhausted_raises",),
     ),
     Mutant(  # draw among unused words without the follower check
         "search.py",
@@ -244,6 +251,18 @@ MUTANTS = [
         '        raise TypeError(f"text must be a str, got {type(text).__name__}")\n',
         "",
         ("test_catalog.py::TestParseErrors::test_text_must_be_a_str",),
+    ),
+    Mutant(  # the line scan takes one value past the count before it stops
+        "catalog.py",
+        "if len(values) == expected:",
+        "if len(values) > expected:",
+        (PARSE_ERRORS + "test_wrong_count_too_many",),
+    ),
+    Mutant(  # the line scan takes one value past the range
+        "catalog.py",
+        "if value > expected:",
+        "if value > expected + 1:",
+        (PARSE_ERRORS + "test_value_out_of_range",),
     ),
     Mutant(  # a 0/1 string of any length reads as a binary word
         "catalog.py",

@@ -385,17 +385,21 @@ class TestInfo:
         assert "route=base-6" in out
         assert code == EXIT_OK
 
-    def test_refuses_a_dim_beyond_physical_memory_as_gen_does(self, capsys, monkeypatch):
+    def test_answers_a_dim_beyond_physical_memory_that_gen_refuses(self, capsys, monkeypatch):
+        # info builds nothing, so its route is a fact at every n <= 30
         monkeypatch.setattr(catalog, "_physical_memory", lambda: 10**6)
-        message = "n=20 needs about 142 MB at its peak, more than the 1 MB of physical memory"
-        for command in ("info", "gen"):
-            code, out, err = run(capsys, command, "--dim", "20")
-            assert code == EXIT_INVALID_INPUT
-            assert out == ""
-            assert message in err
-        code, out, _ = run(capsys, "info", "--dim", "3")
+        code, out, err = run(capsys, "gen", "--dim", "20")
+        assert code == EXIT_INVALID_INPUT
+        assert out == ""
+        assert "n=20 needs about 142 MB at its peak, more than the 1 MB of physical memory" in err
+        code, out, err = run(capsys, "info", "--dim", "20")
         assert code == EXIT_OK
-        assert "exists=false" in out
+        assert err == ""
+        route = " ← ".join(f"lifted-from-{m}" for m in range(18, 4, -2)) + " ← base-6"
+        assert out == f"dim=20\nexists=true\nlength=1048575\nroute={route}\n"
+        code, out, _ = run(capsys, "info", "--dim", "30")
+        assert code == EXIT_OK
+        assert "route=lifted-from-28 ← " in out
 
     @pytest.mark.parametrize("dim", ("31", "20000"))
     def test_refuses_the_dimensions_gen_refuses(self, capsys, dim):

@@ -335,13 +335,14 @@ class TestLittleEndianWords:
     """catalog's binary I/O reads and writes values through these; the bytes must not depend on the host."""
 
     @given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
-    def test_le_bytes_matches_struct(self, values):
-        assert sequences.le_bytes(values) == struct.pack(f"<{len(values)}I", *values)
+    def test_lanes_match_struct(self, values):
+        packed = sequences.lanes(values).to_bytes(4 * len(values), "little")
+        assert packed == struct.pack(f"<{len(values)}I", *values)
 
     @given(st.lists(st.integers(0, 2**32 - 1), max_size=64))
-    def test_le_values_inverts_le_bytes(self, values):
-        packed = struct.pack(f"<{len(values)}I", *values)
-        assert list(sequences.le_values(packed)) == values
+    def test_unlanes_inverts_lanes(self, values):
+        packed = int.from_bytes(struct.pack(f"<{len(values)}I", *values), "little")
+        assert list(sequences.unlanes(packed, len(values))) == values
 
 
 def check_outcome(dim, vals):
