@@ -12,7 +12,7 @@ __all__ = ["TernarySequence", "VerificationFailure", "verify"]
 import sys
 from array import array
 from functools import cached_property
-from itertools import compress, count
+from itertools import compress, count, repeat
 from typing import Iterable, Iterator, Optional
 
 from .words import MAX_DIM, Word, _check_int, _Frozen
@@ -54,36 +54,30 @@ class TernarySequence(_Frozen):
 
     Holding a TernarySequence certifies nothing; run verify() for that.
     Construction only pins the coherent bits: dimension at least 2 and
-    every word a Word of that dimension.  The words are stored as their
-    decimal values; .words builds the Word objects on first read, and
-    verify() keeps its result on the instance, both as cached properties.
-    Instances are immutable, and compare, hash and pickle by (dim,
-    decimals) alone: a copy or a pickle carries neither cached value.
+    every value an int word of that dimension.  The words are stored as
+    their decimal values; iterating yields a fresh Word per value and
+    keeps none.  verify() keeps its result on the instance as a cached
+    property.  Instances are immutable, and compare, hash and pickle by
+    (dim, decimals) alone: a copy or a pickle does not carry the result.
     """
 
     dim: int
     decimals: tuple[int, ...]
 
-    def __init__(self, dim: int, words: Iterable[Word]):
-        words = tuple(words)
+    def __init__(self, dim: int, values: Iterable[int]):
+        values = tuple(values)
         _check_int("dim", dim, 2, MAX_DIM)
-        for pos, w in enumerate(words, start=1):
-            if not isinstance(w, Word):
-                raise TypeError(f"word at position {pos} must be a Word, got {type(w).__name__}")
-            if w.dim != dim:
-                raise ValueError(f"word at position {pos} has dimension {w.dim}, expected {dim}")
-        super().__init__(dim, tuple(w.bits for w in words))
-        self.__dict__["words"] = words
+        if not all(issubclass(t, int) and t is not bool for t in set(map(type, values))):
+            raise TypeError("values must be ints")
+        if values:
+            _check_int("bits", min(values), 0, (1 << dim) - 1)
+            _check_int("bits", max(values), 0, (1 << dim) - 1)
+        super().__init__(dim, values)
 
     @classmethod
     def from_decimals(cls, dim: int, values: Iterable[int]) -> "TernarySequence":
-        seq = cls._trusted(dim, tuple(values))
-        if not all(issubclass(t, int) and t is not bool for t in set(map(type, seq.decimals))):
-            raise TypeError("values must be ints")
-        if seq.decimals:
-            _check_int("bits", min(seq.decimals), 0, (1 << dim) - 1)
-            _check_int("bits", max(seq.decimals), 0, (1 << dim) - 1)
-        return seq
+        """The same as TernarySequence(dim, values), kept as a name callers already use."""
+        return cls(dim, values)
 
     @classmethod
     def _trusted(cls, dim: int, decimals: tuple[int, ...]) -> "TernarySequence":
@@ -92,10 +86,6 @@ class TernarySequence(_Frozen):
         seq = cls.__new__(cls)
         _Frozen.__init__(seq, dim, decimals)
         return seq
-
-    @cached_property
-    def words(self) -> tuple[Word, ...]:
-        return tuple(Word(v, self.dim) for v in self.decimals)
 
     @cached_property
     def _failure(self) -> Optional[VerificationFailure]:
@@ -108,7 +98,7 @@ class TernarySequence(_Frozen):
         return len(self.decimals)
 
     def __iter__(self) -> Iterator[Word]:
-        return iter(self.words)
+        return map(Word, self.decimals, repeat(self.dim))
 
 
 def verify(seq: TernarySequence) -> Optional[VerificationFailure]:

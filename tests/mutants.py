@@ -178,12 +178,12 @@ MUTANTS = [
         "",
         (RANDOMIZED + "test_a_negative_seed_is_refused", RANDOMIZED + "test_a_seed_that_is_not_an_int_is_refused"),
     ),
-    Mutant(
+    Mutant(  # iterating keeps its Words on the sequence
         "sequences.py",
-        "            if not isinstance(w, Word):\n"
-        '                raise TypeError(f"word at position {pos} must be a Word, got {type(w).__name__}")\n',
-        "",
-        ("test_sequences.py::TestSequenceType::test_rejects_words_that_are_not_words",),
+        "        return map(Word, self.decimals, repeat(self.dim))\n",
+        '        self.__dict__["words"] = words = tuple(map(Word, self.decimals, repeat(self.dim)))\n'
+        "        return iter(words)\n",
+        ("test_sequences.py::TestSequenceType::test_iterating_keeps_nothing_on_the_sequence",),
     ),
     Mutant(
         "sequences.py",
@@ -230,6 +230,12 @@ MUTANTS = [
         "(type(value) is bool or not isinstance(value, int))",
         "(not isinstance(value, int))",
         ("test_catalog.py::TestBaseCaseStore::test_a_non_int_dim_is_refused_before_the_cache_and_any_search",),
+    ),
+    Mutant(  # a short call leaves the defaults unbound and reports them missing
+        "words.py",
+        "            values = {**self._defaults, **values, **kwargs}\n",
+        "            values = {**values, **kwargs}\n",
+        ("test_package.py::test_only_the_records_have_defaults_and_no_init_of_their_own",),
     ),
     Mutant(  # keyword arguments bound out of field order
         "words.py",

@@ -112,14 +112,10 @@ def test_criterion_4_modifier_tables():
 def test_criterion_5_splice_identities():
     with criterion(5, "the three splice windows XOR to zero in generated lifts"):
         for dim in (5, 6, 7, 8):
-            lifted = lift(generate(dim))
+            words = tuple(lift(generate(dim)))
             k = 2**dim - 1
             for centre in (k + 1, 2 * k + 2, 3 * k + 3):
-                triple = (
-                    lifted.words[centre - 2]
-                    ^ lifted.words[centre - 1]
-                    ^ lifted.words[centre]
-                )
+                triple = words[centre - 2] ^ words[centre - 1] ^ words[centre]
                 assert triple == Word(0, dim + 2)
 
 

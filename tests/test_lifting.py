@@ -168,18 +168,16 @@ class TestLift:
         assert verify(out) is None
 
     def test_first_splice_lands_at_position_32(self, base5):
-        out = lift(base5)
+        words = tuple(lift(base5))
         # k + 1 = 32 for a 31-term input; the splice word is 0000010 = 2
-        assert out.words[31] == Word(2, 7)
-        assert out.words[31].to_string() == "0000010"
+        assert words[31] == Word(2, 7)
+        assert words[31].to_string() == "0000010"
 
     def test_splice_window_sums_are_zero(self, base5):
-        out = lift(base5)
+        words = tuple(lift(base5))
         k = 31
         for centre in (k + 1, 2 * k + 2, 3 * k + 3):
-            triple = (
-                out.words[centre - 2] ^ out.words[centre - 1] ^ out.words[centre]
-            )
+            triple = words[centre - 2] ^ words[centre - 1] ^ words[centre]
             assert triple == Word(0, 7)
 
     def test_double_lift_reaches_dim9(self, base5):
@@ -192,12 +190,13 @@ class TestLift:
         # source part and tag part of every off-splice even window each
         # XOR to zero on their own, not just after concatenation
         k = 31
+        base_words = tuple(base5)
         splice_centres = {k + 1, 2 * k + 2, 3 * k + 3}
         for t in range(2, 4 * k + 3, 2):
             if t in splice_centres:
                 continue
             window = [lift_place(k, s) for s in (t - 1, t, t + 1)]
-            sources = [base5.words[i - 1] for i, _ in window]
+            sources = [base_words[i - 1] for i, _ in window]
             assert sources[0] ^ sources[1] ^ sources[2] == Word(0, 5)
             tags = [Word(tag, 2) for _, tag in window]
             assert tags[0] ^ tags[1] ^ tags[2] == Word(0, 2)

@@ -209,7 +209,7 @@ _SEQ = ternaryperm.TernarySequence.from_decimals(2, (1, 2, 3))
 #: One call per value type, as the keyword arguments its constructor takes, in order.
 SAMPLES = {
     "Word": {"bits": 5, "dim": 3},
-    "TernarySequence": {"dim": 2, "words": _SEQ.words},
+    "TernarySequence": {"dim": 2, "values": (1, 2, 3)},
     "VerificationFailure": {"kind": "length", "index": 1, "detail": "expected 3 words for n=2, got 0"},
     "SearchConfig": {
         "dim": 4, "mode": ternaryperm.SearchMode.COUNT, "symmetry_reduction": True, "node_budget": 100,

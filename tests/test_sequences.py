@@ -37,8 +37,9 @@ class TestSequenceType:
             TernarySequence(1, (Word(1, 1),))
 
     def test_rejects_mixed_dimensions(self):
+        # a value of a wider dimension than the sequence's
         with pytest.raises(ValueError):
-            TernarySequence(3, (Word(1, 3), Word(1, 2)))
+            TernarySequence(2, (1, 4))
 
     @pytest.mark.parametrize("dim", (31, 40))
     def test_empty_sequences_refuse_dimensions_past_the_cap(self, dim):
@@ -52,14 +53,14 @@ class TestSequenceType:
             seq(40, (1, 2, 3))
         with pytest.raises(ValueError, match=r"^bits must be in \[0, 3\], got 4$"):
             seq(2, (1, 2, 4))
-        with pytest.raises(ValueError, match="word at position 2 has dimension 2, expected 3"):
-            TernarySequence(3, (Word(1, 3), Word(1, 2)))
+        with pytest.raises(ValueError, match=r"^bits must be in \[0, 7\], got -1$"):
+            TernarySequence(3, (1, -1))
         with pytest.raises(ValueError, match=r"^dim must be in \[2, 30\], got 1$"):
-            TernarySequence(1, (Word(1, 1),))
+            TernarySequence(1, (1,))
 
     def test_words_coerced_to_tuple(self):
-        s = TernarySequence(2, [Word(1, 2), Word(2, 2)])
-        assert isinstance(s.words, tuple)
+        for values in ([1, 2], (v for v in (1, 2)), range(1, 3)):
+            assert TernarySequence(2, values).decimals == (1, 2)
 
     def test_decimals_round_trip(self):
         s = seq(3, (1, 2, 3, 4, 5, 6, 7))
@@ -91,22 +92,25 @@ class TestSequenceType:
         with pytest.raises(TypeError, match="dim must be an int, got bool"):
             TernarySequence(True, [])
 
-    def test_rejects_words_that_are_not_words(self):
-        # an int used to fail with AttributeError: 'int' object has no attribute 'bits'
-        with pytest.raises(TypeError, match="^word at position 1 must be a Word, got int$"):
-            TernarySequence(2, [1, 2, 3])
-        with pytest.raises(TypeError, match="^word at position 2 must be a Word, got int$"):
-            TernarySequence(2, [Word(1, 2), 2, Word(3, 2)])
+    def test_rejects_words_as_values(self):
+        # the values are the words' ints: a Word element is not one
+        for values in ([Word(1, 2), Word(2, 2), Word(3, 2)], [1, Word(2, 2), 3]):
+            with pytest.raises(TypeError, match="^values must be ints$"):
+                TernarySequence(2, values)
+        assert TernarySequence(2, (w.bits for w in [Word(1, 2), Word(2, 2)])) == seq(2, (1, 2))
 
     def test_both_constructors_agree(self):
-        from_words = TernarySequence(3, [Word(v, 3) for v in (1, 2, 3, 4, 5, 6, 7)])
-        from_ints = seq(3, [1, 2, 3, 4, 5, 6, 7])
-        assert from_words == from_ints
-        assert hash(from_words) == hash(from_ints)
-        assert len({from_words, from_ints}) == 1
-        assert from_words.decimals == from_ints.decimals
-        assert from_words.words == from_ints.words
-        assert list(from_ints) == list(from_ints.words)
+        built = TernarySequence(3, [1, 2, 3, 4, 5, 6, 7])
+        assert built == seq(3, [1, 2, 3, 4, 5, 6, 7])
+        assert type(built) is TernarySequence and hash(built) == hash(seq(3, range(1, 8)))
+        # the same error, message included, for each bad argument
+        for dim, values in ((2, [True, 2, 3]), (2, [1.0, 2, 3]), (2, [1, 2, 4]), (1, [1]), (2.0, [1]), (True, [])):
+            errors = []
+            for build in (TernarySequence, TernarySequence.from_decimals):
+                with pytest.raises((TypeError, ValueError)) as caught:
+                    build(dim, values)
+                errors.append((type(caught.value), str(caught.value)))
+            assert errors[0] == errors[1], (dim, values)
 
     def test_repr_and_hash_are_the_fields(self):
         s = seq(2, (1, 2, 3))
@@ -118,10 +122,12 @@ class TestSequenceType:
         assert seq(2, (1, 2, 3)) != (1, 2, 3)
         assert seq(2, ()) != seq(3, ())
 
-    def test_words_are_built_once_on_first_read(self):
-        s = seq(3, (1, 2, 3))
-        assert s.words == (Word(1, 3), Word(2, 3), Word(3, 3))
-        assert s.words is s.words
+    def test_iterating_keeps_nothing_on_the_sequence(self):
+        s = seq(2, (1, 3, 2))
+        assert verify(s) is None
+        assert list(s) == [Word(1, 2), Word(3, 2), Word(2, 2)]
+        assert tuple(s) == tuple(s) and next(iter(s)) is not next(iter(s))
+        assert sorted(vars(s)) == ["_failure", "decimals", "dim"]
 
     @pytest.mark.parametrize("name", ("dim", "decimals", "words", "_failure", "other"))
     def test_immutable(self, name):
