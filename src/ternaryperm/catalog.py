@@ -415,8 +415,9 @@ class BaseCaseStore:
     are those searches' answers; the packaged 6 is that of an earlier
     search_randomized, so a store over an empty directory hands out
     another verified 6 (see README).  Each is verified, found once per
-    store and cached; reads of cached ones are lock-free, and finding one
-    serializes behind one lock.
+    store and cached.  Every read takes the store's one lock, so a read
+    can wait while another thread finds a missing base case; only a store
+    without fixture files ever searches.
     """
 
     def __init__(self, fixture_dir: Union[str, Path, None] = None):
@@ -428,9 +429,6 @@ class BaseCaseStore:
 
     def get(self, dim: int) -> TernarySequence:
         _check_int("dim", dim, 2)  # 5.0 == 5 would find the cached 5, and name no fixture file
-        found = self._found.get(dim)
-        if found is not None:
-            return found
         if dim not in BASE_DIMS:
             raise ValueError(f"base cases exist for dimensions {BASE_DIMS}, got {dim}")
         with self._lock:

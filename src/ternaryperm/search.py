@@ -194,9 +194,9 @@ def _explore(
     in decimal-tuple order.  nodes counts candidates assigned at open
     slots, including ones whose forced follower collides; candidates whose
     word is already in use do not count.  Going past node_budget raises
-    BudgetExhaustedError(node_budget + 1).  Stops at the first solution
-    except in count mode.  Returns (first solution as decimals or None,
-    solution count so far, nodes).
+    BudgetExhaustedError(node_budget + 1).  Returns (first, count, nodes):
+    first mode stops at the first solution and returns it as decimals, or
+    None when there is none; count mode counts every one, and first is None.
 
     A slot works on two bitmasks, not candidate by candidate: free holds
     the unused words and ok those of them whose forced follower (the word
@@ -271,12 +271,11 @@ def _explore(
     start = len(prefix)
     if start == n_free:
         # the prefix and its forced moves already fill every position
-        return tuple(seq[1:]), 1, 0
+        return (tuple(seq[1:]) if mode is SearchMode.FIRST else None), 1, 0
     swaps = _xor_swaps(dim)
     budget = inf if node_budget is None else node_budget
     nodes = 0
     count = 0
-    first: Optional[tuple[int, ...]] = None
     free_left = [0] * n_free  # per entered slot: free candidates not tried yet
     ok_left = [0] * n_free  # per entered slot: assignable candidates not tried yet
     und = [0] * n_free  # bits to give back to avail when a slot's assignment is undone
@@ -318,7 +317,7 @@ def _explore(
                     raise BudgetExhaustedError(node_budget + 1)
                 d -= 1
                 if d < start:
-                    return first, count, nodes
+                    return None, count, nodes
                 avail ^= und[d]
                 free = free_left[d]
                 ok = ok_left[d]
@@ -343,13 +342,11 @@ def _explore(
             c = prev ^ w  # the forced follower, and the word before slot d + 1
             m = (1 << w) | (1 << c)
             if d == last:
-                seq[p] = w
-                seq[p + 1] = c
                 count += 1
-                if first is None:
-                    first = tuple(seq[1:])
-                if mode is not SearchMode.COUNT:
-                    return first, count, nodes
+                if mode is SearchMode.FIRST:
+                    seq[p] = w
+                    seq[p + 1] = c
+                    return tuple(seq[1:]), count, nodes
                 continue
             # slot d + 1's masks, worked out before w is committed
             nfree = avail ^ m
@@ -384,7 +381,7 @@ def _explore(
 def _outcome(config: SearchConfig, first: Optional[tuple], count: int, nodes: int) -> SearchOutcome:
     """A run's result, with only config.mode's field set and a found sequence verified."""
     sequence = None
-    if config.mode is SearchMode.FIRST and first is not None:
+    if first is not None:
         sequence = TernarySequence.from_decimals(config.dim, first)
         _require(verify(sequence), RuntimeError, "search returned an invalid sequence")
     return SearchOutcome(

@@ -55,6 +55,7 @@ ORBIT = "test_search.py::TestOrbitScaling::"
 RECORD_BINDING = "test_package.py::test_a_record_refuses_a_call_that_does_not_bind_each_field_once[VerificationFailure]"
 FORMAT_RULE = "test_cli.py::TestVerify::test_the_file_states_its_format"
 PARSE_ERRORS = "test_catalog.py::TestParseErrors::"
+STORE_THREADS = "test_catalog.py::TestBaseCaseStore::test_two_threads_find_a_missing_base_case_once"
 
 MUTANTS = [
     # _apply_prefix's checks (TestPrefixChecks)
@@ -275,6 +276,45 @@ MUTANTS = [
         "return len(text) == dim and set(text)",
         "return set(text)",
         (FORMAT_RULE,),
+    ),
+    Mutant(  # the mode before the owner: the change of owner clears the set-id bits
+        "catalog.py",
+        "                try:  # before the mode: a change of owner can clear set-id bits\n"
+        "                    os.chown(tmp, old.st_uid, old.st_gid)\n"
+        "                except PermissionError:\n"
+        "                    pass\n"
+        "                os.chmod(tmp, stat.S_IMODE(old.st_mode))\n",
+        "                os.chmod(tmp, stat.S_IMODE(old.st_mode))\n"
+        "                try:\n"
+        "                    os.chown(tmp, old.st_uid, old.st_gid)\n"
+        "                except PermissionError:\n"
+        "                    pass\n",
+        ("test_catalog.py::TestFormats::test_save_keeps_the_mode_of_the_file_it_replaces",),
+    ),
+    Mutant(  # a binary file with CRLF line ends reads as decimal
+        "catalog.py",
+        "    return (body if end < 0 else body[:end]).rstrip()\n",
+        "    return body if end < 0 else body[:end]\n",
+        ("test_catalog.py::TestFormats::test_a_binary_file_with_crlf_line_ends_reads_as_binary",),
+    ),
+    Mutant(  # an empty sequence's decimal body
+        "catalog.py",
+        ' % values if values else ""\n',
+        " % values\n",
+        ("test_catalog.py::TestFormats::test_decimal_layout_of_an_empty_sequence",),
+    ),
+    # the base-case store finds each base case once
+    Mutant(
+        "catalog.py",
+        "        with self._lock:\n",
+        "        if True:\n",
+        (STORE_THREADS,),
+    ),
+    Mutant(
+        "catalog.py",
+        "            if dim not in self._found:\n",
+        "            if True:\n",
+        (STORE_THREADS,),
     ),
     Mutant(  # verify prints valid for an invalid file, and invalid for a valid one
         "cli.py",

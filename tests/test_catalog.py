@@ -3,7 +3,9 @@ import os
 import random
 import stat
 import threading
+import time
 import tracemalloc
+from types import SimpleNamespace
 from unittest import mock
 
 import pytest
@@ -160,9 +162,18 @@ class TestFormats:
         s = TernarySequence.from_decimals(dim, values)
         assert format_sequence(s, "binary") == binary_reference(dim, values)
 
+    def test_decimal_layout_of_an_empty_sequence(self):
+        assert format_sequence(TernarySequence(3, ()), "decimal") == "n=3\n\n"
+
     def test_binary_layout(self):
         text = format_sequence(generate(2), "binary")
         assert text == "n=2\n01\n10\n11\n"
+
+    def test_a_binary_file_with_crlf_line_ends_reads_as_binary(self):
+        # the first body line ends in \r, which the format rule strips
+        seq = generate(5)
+        text = format_sequence(seq, "binary").replace("\n", "\r\n")
+        assert parse_sequence_text(text) == (seq, "binary")
 
     def test_unknown_format(self):
         with pytest.raises(ValueError):
@@ -226,7 +237,9 @@ class TestFormats:
         assert target.read_text() == format_sequence(generate(5))
         assert sorted(tmp_path.iterdir()) == [link, target]
 
-    @pytest.mark.parametrize("mode", (0o600, 0o640), ids=oct)
+    # a change of owner, even to the same ids, clears the set-id bits: so
+    # the owner is set before the mode
+    @pytest.mark.parametrize("mode", (0o600, 0o640, 0o4755, 0o2755), ids=oct)
     def test_save_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode):
         target = tmp_path / "seq.txt"
         target.write_text("old\n")
@@ -646,6 +659,28 @@ class TestBaseCaseStore:
     def test_sequences_are_cached(self):
         store = BaseCaseStore()
         assert store.get(5) is store.get(5)
+
+    def test_two_threads_find_a_missing_base_case_once(self, tmp_path, monkeypatch):
+        # the search sleeps, so the second thread asks while the first searches
+        packaged = generate(6).decimals
+        calls = []
+
+        def slow_search(dim, seed=0):
+            calls.append((dim, seed))
+            time.sleep(0.2)
+            return SimpleNamespace(sequence=TernarySequence(dim, packaged))
+
+        monkeypatch.setattr(catalog, "search_randomized", slow_search)
+        store = BaseCaseStore(fixture_dir=tmp_path)
+        got = []
+        threads = [threading.Thread(target=lambda: got.append(store.get(6))) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert calls == [(6, 0)]
+        assert len(got) == 2 and got[0] is got[1]
 
     def test_a_fixture_file_is_read_instead_of_the_search(self, tmp_path, searches):
         # bits 0 and 4 swapped: a linear map, so still a ternary permutation,

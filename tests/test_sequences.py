@@ -33,8 +33,8 @@ def naive_is_ternary(dim, decimals):
 
 class TestSequenceType:
     def test_rejects_dimension_below_2(self):
-        with pytest.raises(ValueError):
-            TernarySequence(1, (Word(1, 1),))
+        with pytest.raises(ValueError, match=r"^dim must be in \[2, 30\], got 1$"):
+            TernarySequence(1, (1,))
 
     def test_rejects_mixed_dimensions(self):
         # a value of a wider dimension than the sequence's
@@ -85,7 +85,7 @@ class TestSequenceType:
         with pytest.raises(TypeError, match="dim must be an int, got float"):
             TernarySequence.from_decimals(2.0, ())
         with pytest.raises(TypeError, match="dim must be an int, got float"):
-            TernarySequence(2.0, [Word(1, 2)])
+            TernarySequence(2.0, [1])
         # True passed as dimension 1 and was refused with ValueError
         with pytest.raises(TypeError, match="dim must be an int, got bool"):
             TernarySequence.from_decimals(True, ())
