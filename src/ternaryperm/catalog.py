@@ -388,13 +388,14 @@ def write_text_atomic(path: Union[str, Path], text: str) -> None:
         raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
     try:
         with handle:
-            if old is not None:
-                try:  # before the mode: a change of owner can clear set-id bits
-                    os.chown(tmp, old.st_uid, old.st_gid)
+            handle.write(text)
+            if old is not None:  # after the text and in this order: a write
+                handle.flush()  # or a change of owner can clear set-id bits
+                try:
+                    os.fchown(handle.fileno(), old.st_uid, old.st_gid)
                 except PermissionError:
                     pass
-                os.chmod(tmp, stat.S_IMODE(old.st_mode))
-            handle.write(text)
+                os.fchmod(handle.fileno(), stat.S_IMODE(old.st_mode))
         os.replace(tmp, real)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -279,14 +279,14 @@ MUTANTS = [
     ),
     Mutant(  # the mode before the owner: the change of owner clears the set-id bits
         "catalog.py",
-        "                try:  # before the mode: a change of owner can clear set-id bits\n"
-        "                    os.chown(tmp, old.st_uid, old.st_gid)\n"
+        "                try:\n"
+        "                    os.fchown(handle.fileno(), old.st_uid, old.st_gid)\n"
         "                except PermissionError:\n"
         "                    pass\n"
-        "                os.chmod(tmp, stat.S_IMODE(old.st_mode))\n",
-        "                os.chmod(tmp, stat.S_IMODE(old.st_mode))\n"
+        "                os.fchmod(handle.fileno(), stat.S_IMODE(old.st_mode))\n",
+        "                os.fchmod(handle.fileno(), stat.S_IMODE(old.st_mode))\n"
         "                try:\n"
-        "                    os.chown(tmp, old.st_uid, old.st_gid)\n"
+        "                    os.fchown(handle.fileno(), old.st_uid, old.st_gid)\n"
         "                except PermissionError:\n"
         "                    pass\n",
         ("test_catalog.py::TestFormats::test_save_keeps_the_mode_of_the_file_it_replaces",),

@@ -237,8 +237,8 @@ class TestFormats:
         assert target.read_text() == format_sequence(generate(5))
         assert sorted(tmp_path.iterdir()) == [link, target]
 
-    # a change of owner, even to the same ids, clears the set-id bits: so
-    # the owner is set before the mode
+    # a write without CAP_FSETID, or a change of owner even to the same ids,
+    # clears the set-id bits: so the owner and then the mode follow the text
     @pytest.mark.parametrize("mode", (0o600, 0o640, 0o4755, 0o2755), ids=oct)
     def test_save_keeps_the_mode_of_the_file_it_replaces(self, tmp_path, mode):
         target = tmp_path / "seq.txt"
